@@ -50,9 +50,9 @@ from .geometry import (
     SubsetReport,
     directed_gap,
     hull_of_union,
+    intersect,
     pentagon_support,
     quadrant_directions,
-    ray_boundary,
     subset_within,
 )
 from .model import ChannelParams, Pentagon, RatePair
@@ -96,12 +96,12 @@ __all__ = [
     "ga_pentagon",
     "gb_pentagon",
     "hull_of_union",
+    "intersect",
     "lambda_opt",
     "mutual_information",
     "pentagon_support",
     "quadrant_directions",
     "random_dist",
     "random_search_region",
-    "ray_boundary",
     "subset_within",
 ]

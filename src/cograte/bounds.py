@@ -7,9 +7,8 @@ Three constructions:
 * ``bcdms`` -- the rate region of the associated two-antenna broadcast
   channel with degraded message sets, gridded over Gaussian covariance
   splits (a common layer carrying both messages plus private layers).
-* ``co2`` -- the set intersection of the two, represented by membership and
-  traced by ray bisection, since support samples do not compose under
-  intersection.
+* ``co2`` -- the set intersection of the two: the exact intersection of both
+  parents' sampled halfplanes, with the support read back off its vertices.
 
 The bcdms parameterization is a jointly Gaussian superposition whose total
 covariance uses the full per-antenna powers (the common layer absorbs any
@@ -28,9 +27,9 @@ from .geometry import (
     ConvexRegion,
     DEFAULT_DIRECTIONS,
     hull_of_pentagon_arrays,
-    ray_boundary,
+    intersect,
 )
-from .model import ChannelParams, Pentagon, RatePair
+from .model import ChannelParams, Pentagon
 
 #: Default points per CovSplit dimension (4-D grid).
 DEFAULT_COV_GRID = 41
@@ -169,33 +168,10 @@ def co2_region(
     n_rho: int = DEFAULT_GRID,
     n_grid: int = DEFAULT_COV_GRID,
     n_directions: int = DEFAULT_DIRECTIONS,
-    n_iter: int = 50,
 ) -> ConvexRegion:
-    """Intersection of co1_region and bcdms_region.
-
-    Membership is the conjunction of the parents' support inequalities; the
-    boundary polyline comes from bisecting along every sampled direction, so
-    each returned boundary point is itself a member of both parents.
-    """
-    co1 = co1_region(ch, n_rho, n_directions)
-    bc = bcdms_region(ch, n_grid, n_directions)
-    dirs = co1.directions
-
-    def member(pt: RatePair) -> bool:
-        # zero tolerance keeps every bisected point strictly inside both
-        # parents, so downstream membership re-checks at 1e-9 have margin
-        return co1.contains(pt) and bc.contains(pt)
-
-    r_hi = 2.0 * float(max(np.max(co1.support), np.max(bc.support))) + 1.0
-    pts = ray_boundary(member, dirs, r_hi, n_iter=n_iter)
-    support = np.max(pts @ dirs.T, axis=0)
-    keep = [0]
-    for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
-            keep.append(i)
-    return ConvexRegion(
-        directions=dirs,
-        support=support,
-        boundary=pts[keep],
+    """Intersection of co1_region and bcdms_region."""
+    return intersect(
+        co1_region(ch, n_rho, n_directions),
+        bcdms_region(ch, n_grid, n_directions),
         provenance=f"co2(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

@@ -84,7 +84,6 @@ class RunConfig:
     n_directions: int = DEFAULT_DIRECTIONS
     fmt: str = "csv"
     output: str = "."
-    seed: int = 0
     tol: float = TOL_CLAIM
     figure: str = ""
     b_list: tuple = ()
@@ -94,8 +93,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
-        for name in ("p1", "p2", "b"):
-            v = getattr(self, name)
+        checked = [("p1", self.p1), ("p2", self.p2), ("b", self.b), ("tol", self.tol)]
+        for name, v in checked + [("b", g) for g in self.b_list]:
             if not np.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
         if self.n_points is not None and self.n_points < 2:
@@ -142,15 +141,22 @@ def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:
     raise ValueError(f"unknown region selection {sel!r}")
 
 
-def _max_workers(n_jobs: int) -> int:
+def _thread_cap() -> int:
+    """Worker-thread cap: COGRATE_THREADS when set, else the core count."""
     env = os.environ.get("COGRATE_THREADS", "").strip()
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         cap = int(env)
-        if cap < 1:
-            raise ValueError(f"COGRATE_THREADS must be >= 1, got {env!r}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_jobs, cap))
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"COGRATE_THREADS must be an integer >= 1, got {env!r}")
+    return cap
+
+
+def _max_workers(n_jobs: int) -> int:
+    return max(1, min(n_jobs, _thread_cap()))
 
 
 def _build_many(jobs: list) -> dict:
@@ -446,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS,
                        help="support directions over the quadrant (default 721)")
         p.add_argument("--output", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in the run config (sampled searches only)")
 
     p_region = sub.add_parser("region", help="emit boundary polylines")
     add_common(p_region)
@@ -487,7 +491,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             n_cov=args.cov_points,
             n_directions=args.directions,
             output=args.output,
-            seed=args.seed,
             figure=args.figure,
             b_list=tuple(args.b_list or ()),
         )
@@ -502,7 +505,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n_directions=args.directions,
         fmt=getattr(args, "fmt", "csv"),
         output=args.output,
-        seed=args.seed,
         tol=getattr(args, "tol", TOL_CLAIM),
     )
 
@@ -515,6 +517,7 @@ def main(argv: list | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
+        _thread_cap()  # a bad COGRATE_THREADS fails before any region is built
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,15 +3,16 @@
 A region is represented by support-function samples over the first-quadrant
 arc: the convex hull of a union of pentagons has support equal to the
 pointwise max of the member supports, so unions over millions of pentagons
-reduce to running maxima per direction with O(1) memory per direction.  The
-boundary polyline is recovered afterwards as the lower envelope of the
-sampled halfplanes, clipped to the nonnegative quadrant.
+reduce to running maxima per direction with O(1) memory per direction.
+Every boundary polyline, of a hull or of an intersection of regions, is the
+exact intersection of the sampled halfplanes with the nonnegative quadrant,
+traced by one sorted-angle halfplane intersection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -92,29 +93,31 @@ def support_max_over_pentagons(
     return best
 
 
-def _boundary_from_support(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Lower envelope of the sampled halfplanes, clipped to the quadrant.
+def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Vertices of {x >= 0, y >= 0, d_i.x <= h_i}, from the r1 axis to the r2 axis.
 
-    Candidate vertices are the intersections of adjacent constraint lines
-    plus the two axis endpoints; candidates violating any sampled constraint
-    (beyond tolerance) come from redundant halfplanes and are dropped.
-    Returns an (m, 2) polyline ordered from the r1 axis to the r2 axis.
+    Sorted-angle halfplane intersection (Preparata and Shamos, Computational
+    Geometry, 1985): the lines y = 0, then d_i.x = h_i by increasing angle,
+    then x = 0 are pushed on a stack; a line first pops every line whose
+    vertex with its predecessor it cuts off.  Exact for any h_i >= 0, tight
+    or not.  Returns an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
     """
-    dx, dy = dirs[:, 0], dirs[:, 1]
-    h = support
-    # Adjacent-pair line intersections; det = sin(angle step) > 0.
-    det = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
-    px = (h[:-1] * dy[1:] - h[1:] * dy[:-1]) / det
-    py = (dx[:-1] * h[1:] - dx[1:] * h[:-1]) / det
-    cand = np.column_stack([px, py])
-    cand = np.vstack([[h[0], 0.0], cand, [0.0, h[-1]]])
-    # Keep points satisfying every sampled constraint and the quadrant.
-    ok = np.all(cand @ dirs.T <= h[None, :] + _BOUNDARY_TOL, axis=1)
-    ok &= cand[:, 0] >= -_BOUNDARY_TOL
-    ok &= cand[:, 1] >= -_BOUNDARY_TOL
-    pts = np.clip(cand[ok], 0.0, None)
-    # Candidates are generated in direction-angle order, which already walks
-    # the frontier from the r1 axis toward the r2 axis; deduplicate in place.
+    lines = [(0.0, -1.0, 0.0)]
+    lines += zip(dirs[:, 0].tolist(), dirs[:, 1].tolist(), support.tolist())
+    lines.append((-1.0, 0.0, 0.0))
+    stack, verts = [lines[0]], []
+    for a, b, h in lines[1:]:
+        # d.x grows along the chain built so far (every stacked angle is
+        # smaller), so the lines to drop are all on top of the stack
+        while verts and a * verts[-1][0] + b * verts[-1][1] > h:
+            stack.pop()
+            verts.pop()
+        a0, b0, h0 = stack[-1]
+        # the angle step is in (0, 180) degrees, so det > 0
+        det = a0 * b - b0 * a
+        verts.append(((h0 * b - h * b0) / det, (a0 * h - a * h0) / det))
+        stack.append((a, b, h))
+    pts = np.clip(np.array(verts), 0.0, None)
     keep = [0]
     for i in range(1, len(pts)):
         if np.max(np.abs(pts[i] - pts[keep[-1]])) > _BOUNDARY_TOL:
@@ -157,7 +160,7 @@ class ConvexRegion:
     def from_support(
         cls, directions: np.ndarray, support: np.ndarray, provenance: str = ""
     ) -> "ConvexRegion":
-        boundary = _boundary_from_support(directions, np.asarray(support, dtype=float))
+        boundary = _halfplane_envelope(directions, np.asarray(support, dtype=float))
         return cls(directions=directions, support=support, boundary=boundary,
                    provenance=provenance)
 
@@ -175,22 +178,11 @@ def hull_of_union(
     n_directions: int = DEFAULT_DIRECTIONS,
     provenance: str = "",
 ) -> ConvexRegion:
-    """Convex hull of a union of pentagons, sampled at n_directions directions.
-
-    Empty pentagons are skipped; raises ValueError when none survive.  The
-    support at each direction is exactly the max of the member supports.
-    """
-    dirs = quadrant_directions(n_directions)
-    r1, r2, s = [], [], []
-    for p in pentagons:
-        if not p.is_empty():
-            r1.append(p.r1_max)
-            r2.append(p.r2_max)
-            s.append(p.sum_max)
-    if not r1:
-        raise ValueError("all pentagons are empty; nothing to hull")
-    support = support_max_over_pentagons(np.array(r1), np.array(r2), np.array(s), dirs)
-    return ConvexRegion.from_support(dirs, support, provenance)
+    """hull_of_pentagon_arrays over the bounds of Pentagon objects."""
+    bounds = np.array(
+        [(p.r1_max, p.r2_max, p.sum_max) for p in pentagons], dtype=float
+    ).reshape(-1, 3)
+    return hull_of_pentagon_arrays(*bounds.T, n_directions, provenance)
 
 
 def hull_of_pentagon_arrays(
@@ -200,7 +192,12 @@ def hull_of_pentagon_arrays(
     n_directions: int = DEFAULT_DIRECTIONS,
     provenance: str = "",
 ) -> ConvexRegion:
-    """Vectorized hull_of_union for pentagon bounds given as flat arrays."""
+    """Convex hull of a union of pentagons, sampled at n_directions directions.
+
+    Pentagon bounds come as flat arrays.  Empty pentagons (any negative
+    bound) are skipped; raises ValueError when none survive.  The support at
+    each direction is exactly the max of the member supports.
+    """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
@@ -217,6 +214,21 @@ def _check_same_directions(a: ConvexRegion, b: ConvexRegion) -> None:
         a.directions, b.directions
     ):
         raise ValueError("regions are sampled on different direction sets")
+
+
+def intersect(a: ConvexRegion, b: ConvexRegion, provenance: str = "") -> ConvexRegion:
+    """Exact intersection of the sampled halfplanes of two regions.
+
+    The boundary is the envelope of min(a.support, b.support); the support
+    is read back off its vertices, since the pointwise min of two support
+    functions is loose wherever neither parent's halfplane is tight.
+    """
+    _check_same_directions(a, b)
+    dirs = a.directions
+    boundary = _halfplane_envelope(dirs, np.minimum(a.support, b.support))
+    support = np.max(boundary @ dirs.T, axis=0)
+    return ConvexRegion(directions=dirs, support=support, boundary=boundary,
+                        provenance=provenance)
 
 
 def directed_gap(outer: ConvexRegion, inner: ConvexRegion) -> float:
@@ -257,31 +269,3 @@ def subset_within(inner: ConvexRegion, outer: ConvexRegion, tol: float) -> Subse
         worst_direction=(float(inner.directions[i, 0]), float(inner.directions[i, 1])),
         worst_violation=float(diff[i]),
     )
-
-
-def ray_boundary(
-    membership: Callable[[RatePair], bool],
-    directions: np.ndarray,
-    r_hi: float,
-    n_iter: int = 50,
-) -> np.ndarray:
-    """Boundary polyline of a region given only by a membership predicate.
-
-    For each direction, bisects t in [0, r_hi] for the largest t with
-    membership(t * d) true; the membership must be monotone toward the origin
-    and r_hi must upper-bound the region radius.  Returns an (n, 2) array of
-    member points (the bisection keeps the inside endpoint).
-    """
-    if not membership(RatePair(0.0, 0.0)):
-        raise ValueError("region does not contain origin")
-    pts = np.empty((directions.shape[0], 2))
-    for i, (dx, dy) in enumerate(directions):
-        lo, hi = 0.0, float(r_hi)
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            if membership(RatePair(mid * dx, mid * dy)):
-                lo = mid
-            else:
-                hi = mid
-        pts[i] = (lo * dx, lo * dy)
-    return pts

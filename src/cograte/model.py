@@ -1,8 +1,8 @@
 """Core value types shared by every other module.
 
 All rates are in bits per channel use (log base 2).  Comparisons are always
-parameterized by explicit tolerances; the defaults below are 1e-9 bits for
-algebraic identities and 1e-3 bits for grid-limited geometric comparisons.
+parameterized by explicit tolerances; the default below is 1e-9 bits for
+algebraic identities.
 """
 
 from __future__ import annotations
@@ -12,21 +12,12 @@ from dataclasses import dataclass
 
 #: Default tolerance for algebraic identities (bits).
 TOL_ALGEBRAIC = 1e-9
-#: Default tolerance for grid-limited geometric comparisons (bits).
-TOL_GEOMETRIC = 1e-3
 
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_unit(name: str, value: float) -> float:
-    value = _require_finite(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
 
 
@@ -121,50 +112,3 @@ class Pentagon:
         else:
             pts.append((a, b))
         return pts
-
-
-@dataclass(frozen=True)
-class GaussianParamPoint:
-    """One point of the Gaussian region parameterizations.
-
-    Each family reads only the fields it uses: alpha splits the cognitive
-    power between own and relayed transmission, beta splits the own part into
-    common and private layers, theta splits the relayed part, lam is the
-    dirty-paper coefficient, and rho the outer-bound correlation.  Unused
-    fields stay None.
-    """
-
-    alpha: float | None = None
-    beta: float | None = None
-    theta: float | None = None
-    lam: float | None = None
-    rho: float | None = None
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "theta", "rho"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _require_unit(name, value))
-        if self.lam is not None:
-            lam = _require_finite("lam", self.lam)
-            if lam < 0.0:
-                raise ValueError(f"lam must be >= 0, got {lam!r}")
-            object.__setattr__(self, "lam", lam)
-
-    @property
-    def alpha_bar(self) -> float:
-        return 1.0 - self._get("alpha")
-
-    @property
-    def beta_bar(self) -> float:
-        return 1.0 - self._get("beta")
-
-    @property
-    def theta_bar(self) -> float:
-        return 1.0 - self._get("theta")
-
-    def _get(self, name: str) -> float:
-        value = getattr(self, name)
-        if value is None:
-            raise ValueError(f"{name} is not set on this parameter point")
-        return value

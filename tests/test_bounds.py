@@ -22,6 +22,22 @@ def hl2(x):
     return 0.5 * math.log2(x)
 
 
+def vertex_enumeration_support(dirs, h):
+    """Support of {x >= 0, y >= 0, d_i.x <= h_i} by brute force: the max over
+    every feasible intersection point of two of its boundary lines."""
+    a = np.vstack([dirs, [[0.0, -1.0], [-1.0, 0.0]]])
+    c = np.concatenate([h, [0.0, 0.0]])
+    i, j = np.triu_indices(len(c), 1)
+    det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+    i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
+    pts = np.column_stack([
+        (c[i] * a[j, 1] - c[j] * a[i, 1]) / det,
+        (a[i, 0] * c[j] - a[j, 0] * c[i]) / det,
+    ])
+    feasible = np.all(pts @ a.T <= c + 1e-12, axis=1)
+    return np.max(pts[feasible] @ dirs.T, axis=0)
+
+
 CH = ChannelParams(6.0, 6.0, 1.3628)
 CH_SCALAR = ChannelParams(6.0, 0.0, 2.0)  # antenna 2 silent
 
@@ -164,6 +180,17 @@ class TestCo2Region:
         witness = RatePair(hl2(7), 0.9)
         assert c1.contains(witness, tol=1e-9)
         assert not co2.contains(witness, tol=1e-6)
+
+    @pytest.mark.parametrize("ch", [ChannelParams(6, 6, 3.3628), CH_SCALAR])
+    def test_exact_intersection_of_the_sampled_halfplanes(self, ch):
+        co2 = co2_region(ch, n_rho=51, n_grid=11, n_directions=181)
+        c1 = co1_region(ch, n_rho=51, n_directions=181)
+        bc = bcdms_region(ch, n_grid=11, n_directions=181)
+        h = np.minimum(c1.support, bc.support)
+        expect = vertex_enumeration_support(co2.directions, h)
+        assert np.abs(co2.support - expect).max() <= 1e-12
+        # the support is the max over the vertices, so they lie in both parents
+        assert np.all(co2.support <= h + 1e-12)
 
     def test_degenerate_channel_parents_coincide(self):
         ch = ChannelParams(0, 5, 1.5)

@@ -84,6 +84,24 @@ class TestExitCodes:
                      "--select", "g2", "--output", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, threads", [
+        (["figure", "fig5", "--b", "-1"], None),
+        (["figure", "fig5", "--b", "nan"], None),
+        (["compare", "--select", "g2,g3p", "--tol", "-1"], None),
+        (["region", "--select", "g2,g3p"], "abc"),
+    ], ids=["negative-gain", "nan-gain", "negative-tol", "non-integer-threads"])
+    def test_out_of_contract_input_is_usage_error(self, argv, threads, tmp_path,
+                                                  monkeypatch, capsys):
+        def built(*args, **kwargs):
+            raise AssertionError("a region was built")
+
+        monkeypatch.setattr(cli, "build_region", built)
+        if threads is not None:
+            monkeypatch.setenv("COGRATE_THREADS", threads)
+        code = main([*argv, "--output", str(tmp_path), *SMALL])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise FloatingPointError("synthetic numerical blowup")

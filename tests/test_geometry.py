@@ -1,4 +1,4 @@
-"""Support functions, union hulls, containment, gaps, ray probing."""
+"""Support functions, union hulls, halfplane envelopes, intersections, gaps."""
 
 import math
 
@@ -10,9 +10,9 @@ from cograte.geometry import (
     ConvexRegion,
     directed_gap,
     hull_of_union,
+    intersect,
     pentagon_support,
     quadrant_directions,
-    ray_boundary,
     subset_within,
     support_max_over_pentagons,
 )
@@ -141,6 +141,33 @@ class TestHullOfUnion:
         assert d.min() > 1e-9
 
 
+class TestHalfplaneEnvelope:
+    def test_vertex_between_tight_halfplanes_around_a_loose_one(self):
+        dirs = quadrant_directions(5)
+        h = np.array([pentagon_support(Pentagon(1, 1, 1.5), d) for d in dirs])
+        h[2] = 5.0  # the 45-degree sample is redundant
+        reg = ConvexRegion.from_support(dirs, h)
+        # the 22.5- and 67.5-degree lines meet on the diagonal
+        v = h[1] / (dirs[1, 0] + dirs[1, 1])
+        assert v == pytest.approx(0.853553, abs=1e-6)
+        expect = [(1, 0), (1, 0.5), (v, v), (0.5, 1), (0, 1)]
+        assert np.abs(reg.boundary - np.array(expect)).max() <= 1e-12
+
+    def test_intersect_is_exact_where_no_sample_is_tight(self):
+        # two hulls crossing in the square [0, 0.2]^2: every sampled
+        # halfplane strictly between the axes is loose at its corner
+        a = _hull(Pentagon(1, 0.2, 1.2), n=181)
+        b = _hull(Pentagon(0.2, 1, 1.2), n=181)
+        reg = intersect(a, b, provenance="square")
+        assert reg.provenance == "square"
+        assert np.abs(reg.boundary - [[0.2, 0], [0.2, 0.2], [0, 0.2]]).max() <= 1e-12
+        d = reg.directions
+        expect = 0.2 * (d[:, 0] + d[:, 1])
+        assert np.abs(reg.support - expect).max() <= 1e-12
+        with pytest.raises(ValueError, match="direction"):
+            intersect(a, _hull(Pentagon(1, 1, 1.5), n=91))
+
+
 class TestRegionContains:
     def test_interior_point(self):
         reg = _hull(Pentagon(1, 1, 1.5))
@@ -201,49 +228,6 @@ class TestSubsetWithin:
         inner = _hull(Pentagon(1, 1, 2))
         outer = _hull(Pentagon(1, 1, 1.5))
         assert subset_within(inner, outer, tol=0.4).is_subset
-
-
-class TestRayBoundary:
-    def test_pentagon_axis_hits(self):
-        p = Pentagon(1, 1, 1.5)
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        pts = ray_boundary(lambda pt: p.contains(pt), dirs, r_hi=4.0)
-        assert pts[0, 0] == pytest.approx(1.0, abs=1e-6)
-        assert pts[1, 1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_intersection_of_two_pentagons(self):
-        a, b = Pentagon(1, 1, 1.5), Pentagon(0.8, 1, 2)
-        dirs = np.array([[1.0, 0.0]])
-        pts = ray_boundary(lambda pt: a.contains(pt) and b.contains(pt), dirs, r_hi=4.0)
-        assert pts[0, 0] == pytest.approx(0.8, abs=1e-6)
-
-    def test_radial_distance_closed_form(self):
-        # along d the pentagon's boundary sits at t = min(a/dx, b/dy, s/(dx+dy));
-        # this equals the support value only where d is normal to the active face
-        p = Pentagon(1, 1, 1.5)
-        dirs = quadrant_directions(91)
-        pts = ray_boundary(lambda pt: p.contains(pt), dirs, r_hi=4.0)
-        t = np.hypot(pts[:, 0], pts[:, 1])
-        with np.errstate(divide="ignore"):
-            expect = np.minimum.reduce([
-                np.where(dirs[:, 0] > 0, 1.0 / dirs[:, 0], np.inf),
-                np.where(dirs[:, 1] > 0, 1.0 / dirs[:, 1], np.inf),
-                1.5 / (dirs[:, 0] + dirs[:, 1]),
-            ])
-        assert np.abs(t - expect).max() <= 1e-5
-
-    def test_radial_distance_matches_support_at_face_normals(self):
-        p = Pentagon(1, 1, 1.5)
-        dirs = np.array([[1.0, 0.0], [1 / SQ2, 1 / SQ2], [0.0, 1.0]])
-        pts = ray_boundary(lambda pt: p.contains(pt), dirs, r_hi=4.0)
-        t = np.hypot(pts[:, 0], pts[:, 1])
-        expect = [pentagon_support(p, (dx, dy)) for dx, dy in dirs]
-        assert np.abs(t - expect).max() <= 1e-6
-
-    def test_origin_must_be_inside(self):
-        dirs = quadrant_directions(3)
-        with pytest.raises(ValueError, match="does not contain origin"):
-            ray_boundary(lambda pt: False, dirs, r_hi=1.0)
 
 
 def _monotone_chain(points):

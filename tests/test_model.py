@@ -1,4 +1,4 @@
-"""Core data types: channels, rate pairs, pentagons, parameter points."""
+"""Core data types: channels, rate pairs, pentagons."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from cograte.model import (
     TOL_ALGEBRAIC,
     ChannelParams,
-    GaussianParamPoint,
     Pentagon,
     RatePair,
 )
@@ -110,31 +109,3 @@ class TestPentagon:
             p = Pentagon(a, b, c)
             for vx, vy in p.vertices():
                 assert p.contains(RatePair(vx, vy), tol=TOL_ALGEBRAIC)
-
-
-class TestGaussianParamPoint:
-    def test_bar_accessors(self):
-        pt = GaussianParamPoint(alpha=0.25, beta=0.5, theta=1.0)
-        assert pt.alpha_bar == 0.75
-        assert pt.beta_bar == 0.5
-        assert pt.theta_bar == 0.0
-
-    def test_unset_bar_accessor_raises(self):
-        pt = GaussianParamPoint(alpha=0.25)
-        with pytest.raises(ValueError, match="not set"):
-            pt.beta_bar
-        with pytest.raises(ValueError, match="not set"):
-            pt.theta_bar
-
-    def test_unit_interval_validation(self):
-        with pytest.raises(ValueError):
-            GaussianParamPoint(alpha=1.2)
-        with pytest.raises(ValueError):
-            GaussianParamPoint(beta=-0.1)
-        with pytest.raises(ValueError):
-            GaussianParamPoint(rho=1.01)
-
-    def test_lambda_only_nonnegative(self):
-        assert GaussianParamPoint(lam=2.5).lam == 2.5
-        with pytest.raises(ValueError):
-            GaussianParamPoint(lam=-0.5)
