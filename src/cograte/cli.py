@@ -12,7 +12,9 @@ Defaults: 201 grid points per sweep parameter (101 for the three-parameter
 family g, 41 per covariance dimension), 721 hull directions.  Tolerances:
 1e-3 bits for capacity-meets-bound claims, 5e-3 bits for coincide or
 strict-inclusion claims; both are grid-limited, not exact arithmetic.
-COGRATE_THREADS caps the worker threads used for independent curves.
+Regions are built one after another.  An invocation whose largest region
+would evaluate more than MAX_PENTAGONS pentagons is refused as a usage
+error before anything is allocated.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ TOL_CLAIM = 5e-3
 #: conventionally quoted to 4 decimals, so the quoted value may sit a hair
 #: above the exact root.
 REGIME_TOL = 5e-5
+
+#: Most pentagons one region may evaluate: about 230 B of peak RSS each,
+#: so near 2 GB.  g at --points 201 (8,120,802) and every default fit.
+MAX_PENTAGONS = 2**23
 
 #: Figure presets: selections, interference gains, (p1, p2).
 FIGURES = {
@@ -114,59 +119,56 @@ class RunConfig:
             raise ValueError("compare needs at least 2 distinct selections")
         if self.command == "figure" and self.figure not in FIGURES:
             raise ValueError(f"unknown figure {self.figure!r}; choose from {tuple(FIGURES)}")
+        built = ("g3p", "co1") if self.command == "capacity-check" else self.selections
+        for sel in built:
+            count = _pentagon_count(sel, self)
+            if count > MAX_PENTAGONS:
+                raise ValueError(
+                    f"region {sel!r} would evaluate {count} pentagons, more than "
+                    f"{MAX_PENTAGONS}; lower --points or --cov-points"
+                )
+
+
+def _points(sel: str, cfg: RunConfig) -> int:
+    return cfg.n_points or (101 if sel == "g" else DEFAULT_GRID)
+
+
+def _pentagon_count(sel: str, cfg: RunConfig) -> int:
+    """Pentagons build_region evaluates for sel, empty or not (an upper
+    bound for bcdms, whose grid is PSD-filtered)."""
+    k = _points(sel, cfg)
+    if sel == "g":
+        return k**3 + k
+    if sel == "g1":
+        return k**2 + 1
+    if sel == "bcdms":
+        return cfg.n_cov**4
+    if sel == "co2":
+        return k + cfg.n_cov**4
+    return k
 
 
 def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:
     """Build one named region at the configured grids."""
-    n = cfg.n_points
+    k = _points(sel, cfg)
     nd = cfg.n_directions
     if sel == "g":
-        k = n or 101
         return g_region(ch, k, k, k, nd)
     if sel == "g1":
-        k = n or DEFAULT_GRID
         return g1_region(ch, k, k, nd)
     if sel == "g2":
-        return g2_region(ch, n or DEFAULT_GRID, nd)
+        return g2_region(ch, k, nd)
     if sel == "g3p":
-        return g3p_region(ch, n or DEFAULT_GRID, nd)
+        return g3p_region(ch, k, nd)
     if sel == "capacity":
-        return capacity_region(ch, n or DEFAULT_GRID, nd)
+        return capacity_region(ch, k, nd)
     if sel == "co1":
-        return co1_region(ch, n or DEFAULT_GRID, nd)
+        return co1_region(ch, k, nd)
     if sel == "bcdms":
         return bcdms_region(ch, cfg.n_cov, nd)
     if sel == "co2":
-        return co2_region(ch, n or DEFAULT_GRID, cfg.n_cov, nd)
+        return co2_region(ch, k, cfg.n_cov, nd)
     raise ValueError(f"unknown region selection {sel!r}")
-
-
-def _thread_cap() -> int:
-    """Worker-thread cap: COGRATE_THREADS when set, else the core count."""
-    env = os.environ.get("COGRATE_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"COGRATE_THREADS must be an integer >= 1, got {env!r}")
-    return cap
-
-
-def _max_workers(n_jobs: int) -> int:
-    return max(1, min(n_jobs, _thread_cap()))
-
-
-def _build_many(jobs: list) -> dict:
-    """Evaluate (key, thunk) jobs on a capped thread pool; results by key."""
-    if len(jobs) == 1:
-        key, thunk = jobs[0]
-        return {key: thunk()}
-    with ThreadPoolExecutor(max_workers=_max_workers(len(jobs))) as pool:
-        futures = [(key, pool.submit(thunk)) for key, thunk in jobs]
-        return {key: fut.result() for key, fut in futures}
 
 
 def _check_emitted_boundary(region: ConvexRegion) -> None:
@@ -293,8 +295,7 @@ def cmd_region(cfg: RunConfig) -> int:
     """Write one boundary file per selected region (or one overlay/report)."""
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     os.makedirs(cfg.output, exist_ok=True)
-    jobs = [(sel, (lambda s=sel: build_region(s, ch, cfg))) for sel in cfg.selections]
-    regions = _build_many(jobs)
+    regions = {sel: build_region(sel, ch, cfg) for sel in cfg.selections}
     tag = _channel_tag(cfg.p1, cfg.p2, cfg.b)
     written = []
     if cfg.fmt == "csv":
@@ -338,8 +339,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     """Pairwise subset verdicts and directed gaps over the selections."""
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     os.makedirs(cfg.output, exist_ok=True)
-    jobs = [(sel, (lambda s=sel: build_region(s, ch, cfg))) for sel in cfg.selections]
-    regions = _build_many(jobs)
+    regions = {sel: build_region(sel, ch, cfg) for sel in cfg.selections}
     comparisons = []
     for inner in cfg.selections:
         for outer in cfg.selections:
@@ -391,12 +391,11 @@ def cmd_figure(cfg: RunConfig) -> int:
     selections, preset_bs, (p1, p2) = FIGURES[cfg.figure]
     gains = cfg.b_list or preset_bs
     os.makedirs(cfg.output, exist_ok=True)
-    jobs = []
-    for gain in gains:
-        ch = ChannelParams(p1, p2, gain)
-        for sel in selections:
-            jobs.append(((sel, gain), (lambda s=sel, c=ch: build_region(s, c, cfg))))
-    regions = _build_many(jobs)
+    regions = {
+        (sel, gain): build_region(sel, ChannelParams(p1, p2, gain), cfg)
+        for gain in gains
+        for sel in selections
+    }
     written = []
     curves = []
     for gain in gains:
@@ -517,7 +516,6 @@ def main(argv: list | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        _thread_cap()  # a bad COGRATE_THREADS fails before any region is built
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

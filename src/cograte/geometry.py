@@ -4,6 +4,8 @@ A region is represented by support-function samples over the first-quadrant
 arc: the convex hull of a union of pentagons has support equal to the
 pointwise max of the member supports, so unions over millions of pentagons
 reduce to running maxima per direction with O(1) memory per direction.
+Only pentagons with a top corner that no other corner beats are evaluated;
+the rest never attain the maximum, so the result is the same float.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant,
 traced by one sorted-angle halfplane intersection.
@@ -24,8 +26,8 @@ DEFAULT_DIRECTIONS = 721
 #: Vertex deduplication / constraint-check tolerance for boundary extraction.
 _BOUNDARY_TOL = 1e-9
 
-#: Chunk size for vectorized support maxima over large pentagon batches.
-_CHUNK = 8192
+#: Cells (pentagons x directions) per chunk of the support-maximum kernel.
+_CHUNK_CELLS = 2**22
 
 
 def quadrant_directions(n: int) -> np.ndarray:
@@ -59,6 +61,30 @@ def pentagon_support(p: Pentagon, d: tuple[float, float] | np.ndarray) -> float:
     return max(dx * vx + dy * vy for vx, vy in p.vertices())
 
 
+def _owns_undominated_corner(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Mask of the pentagons with a top corner that no other corner beats.
+
+    Beating means exceeding by more than _BOUNDARY_TOL in both coordinates,
+    which lowers the support in every unit first-quadrant direction by at
+    least that much, far above roundoff; so a pentagon whose two top corners
+    are both beaten is never the maximum.  Maxima of a set of vectors (Kung,
+    Luccio and Preparata, JACM 1975): sort by x, running max of y, bisect.
+    """
+    n = r1.size
+    x_first = np.minimum(r1, s)
+    y_second = np.minimum(r2, s)
+    x = np.concatenate([x_first, np.minimum(r1, s - y_second)])
+    y = np.concatenate([np.minimum(r2, s - x_first), y_second])
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    # best_y[i] is the largest y among the corners sorted at or after i
+    best_y = np.append(np.maximum.accumulate(y[::-1])[::-1], -np.inf)
+    first_ahead = np.searchsorted(x, x + _BOUNDARY_TOL, side="right")
+    beaten = np.empty(2 * n, dtype=bool)
+    beaten[order] = best_y[first_ahead] > y + _BOUNDARY_TOL
+    return ~(beaten[:n] & beaten[n:])
+
+
 def support_max_over_pentagons(
     r1: np.ndarray, r2: np.ndarray, s: np.ndarray, dirs: np.ndarray
 ) -> np.ndarray:
@@ -68,24 +94,31 @@ def support_max_over_pentagons(
     (dx, dy) the support is min(dx*a + dy*b, m*c + (dx-m)*a + (dy-m)*b,
     M*c) with m = min(dx, dy), M = max(dx, dy).  The first two terms
     collapse to dx*a + dy*b - m*max(a + b - c, 0), and the third can only
-    bind when the sum constraint is active, so each chunk reduces to one
-    matmul plus an elementwise min.  Chunking bounds temporary memory.
+    bind when the sum constraint is active, so each chunk reduces to a few
+    products plus an elementwise min.  Chunks of at most _CHUNK_CELLS
+    pentagon-direction cells bound temporary memory.
+
+    Pentagons without an undominated top corner are skipped first; the
+    result is the same float.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
+    keep = _owns_undominated_corner(r1, r2, s)
+    r1, r2, s = r1[keep], r2[keep], s[keep]
     dx = dirs[:, 0][None, :]
     dy = dirs[:, 1][None, :]
     dmax = np.maximum(dx, dy)
     dmin_neg = -np.minimum(dx, dy)
     excess = np.maximum(r1 + r2 - s, 0.0)
     best = np.full(dirs.shape[0], -np.inf)
+    rows = max(1, _CHUNK_CELLS // dirs.shape[0])
     # broadcasting instead of matmul keeps results bitwise independent of
     # the chunk and batch sizes
-    for lo in range(0, r1.size, _CHUNK):
-        hi = lo + _CHUNK
+    for lo in range(0, r1.size, rows):
+        hi = lo + rows
         h = r1[lo:hi, None] * dx + r2[lo:hi, None] * dy
         h += excess[lo:hi, None] * dmin_neg
         np.minimum(h, s[lo:hi, None] * dmax, out=h)
@@ -194,13 +227,17 @@ def hull_of_pentagon_arrays(
 ) -> ConvexRegion:
     """Convex hull of a union of pentagons, sampled at n_directions directions.
 
-    Pentagon bounds come as flat arrays.  Empty pentagons (any negative
-    bound) are skipped; raises ValueError when none survive.  The support at
-    each direction is exactly the max of the member supports.
+    Pentagon bounds come as flat arrays and must be finite, as in Pentagon;
+    ValueError names the count of NaN or infinite bounds.  Empty pentagons
+    (any negative bound) are skipped; raises ValueError when none survive.
+    The support at each direction is exactly the max of the member supports.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
+    bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
+    if bad:
+        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
     keep = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
     if not np.any(keep):
         raise ValueError("all pentagons are empty; nothing to hull")

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cograte.model import Pentagon, RatePair
+from cograte import geometry
 from cograte.geometry import (
     ConvexRegion,
     directed_gap,
+    hull_of_pentagon_arrays,
     hull_of_union,
     intersect,
     pentagon_support,
@@ -86,6 +88,44 @@ class TestPentagonSupport:
             )
         assert np.abs(fast - slow).max() <= 1e-13
 
+        # pruning must not change a single float: adversarial additions
+        # against the max over one-pentagon calls, which are never pruned
+        extra = np.array([
+            (1.0, 1.0, 1.5), (1.0, 1.0, 1.5),            # duplicates
+            (1.0 + 1e-10, 1.0, 1.5 + 1e-10),             # near-tie
+            (1.0, 1.0 - 1e-10, 1.5 - 1e-10),
+            (0.5, 0.7, 2.0), (2.9, 0.1, 3.0),            # r1 + r2 <= s
+            (4.0, 0.5, 2.5), (0.5, 4.0, 2.5),            # r1 > s, r2 > s
+            (0.0, 0.0, 0.0), (0.0, 3.0, 3.0), (3.0, 0.0, 3.0),  # zero bounds
+        ])
+        mixed = [np.concatenate([v, e]) for v, e in zip((a, b, c), extra.T)]
+        for a, b, c in (extra.T, mixed):
+            single = np.max(
+                [support_max_over_pentagons(a[i:i + 1], b[i:i + 1], c[i:i + 1], dirs)
+                 for i in range(a.size)],
+                axis=0,
+            )
+            assert np.array_equal(support_max_over_pentagons(a, b, c, dirs), single)
+
+    def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self):
+        # box pentagons (r1 + r2 <= s): both top corners are (r1, r2)
+        for corner, kept in (((1 - 1e-6, 1 - 1e-6), False),
+                             ((1 - 1e-10, 1 - 1e-10), True),
+                             ((1 - 1e-6, 1 + 1e-10), True),
+                             ((1 + 1e-10, 1 - 1e-6), True)):
+            r1, r2 = np.array([(1.0, 1.0), corner]).T
+            mask = geometry._owns_undominated_corner(r1, r2, np.full(2, 10.0))
+            assert mask.tolist() == [True, kept], corner
+
+    def test_chunk_size_does_not_change_the_support(self, monkeypatch):
+        # box pentagons with corners on a quarter circle: none is pruned
+        t = np.linspace(0.0, np.pi / 2.0, 500)
+        a, b, c = 3.0 * np.cos(t), 3.0 * np.sin(t), np.full(t.size, 10.0)
+        dirs = quadrant_directions(181)
+        ref = support_max_over_pentagons(a, b, c, dirs)
+        monkeypatch.setattr(geometry, "_CHUNK_CELLS", 3 * 181)
+        assert np.array_equal(support_max_over_pentagons(a, b, c, dirs), ref)
+
 
 class TestHullOfUnion:
     def test_single_pentagon_boundary_vertices(self):
@@ -110,6 +150,11 @@ class TestHullOfUnion:
         reg = _hull(Pentagon(-1, 1, 1), Pentagon(1, 1, 1.5))
         ref = _hull(Pentagon(1, 1, 1.5))
         assert np.array_equal(reg.support, ref.support)
+
+    def test_non_finite_bounds_rejected(self):
+        with pytest.raises(ValueError, match="2 are NaN or infinite"):
+            hull_of_pentagon_arrays([1.0, np.nan, 1.0], [1.0, 1.0, 1.0],
+                                    [1.5, 1.5, np.inf])
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
