@@ -138,9 +138,9 @@ def bcdms_region(
     c = c_privs[None, None, :]
     priv_psd = c * c <= a * d + _PSD_TOL
     r1_grid = np.broadcast_to(0.5 * np.log2((p1 + 1.0) / (a + 1.0)), priv_psd.shape)
-    with np.errstate(invalid="ignore"):
-        # entries violating priv_psd may have a negative log argument; they
-        # are masked out below and never reach the hull
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # entries violating priv_psd may have a zero or negative log
+        # argument; they are masked out below and never reach the hull
         r2_grid = 0.5 * np.log2(1.0 + b * b * a + 2.0 * b * c + d)
 
     r1_parts, r2_parts, s_parts = [], [], []

@@ -96,6 +96,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        if self.command == "capacity-check":
+            # it always compares the achievable g3p with the outer co1
+            object.__setattr__(self, "selections", ("g3p", "co1"))
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
         checked = [("p1", self.p1), ("p2", self.p2), ("b", self.b), ("tol", self.tol)]
@@ -119,8 +122,7 @@ class RunConfig:
             raise ValueError("compare needs at least 2 distinct selections")
         if self.command == "figure" and self.figure not in FIGURES:
             raise ValueError(f"unknown figure {self.figure!r}; choose from {tuple(FIGURES)}")
-        built = ("g3p", "co1") if self.command == "capacity-check" else self.selections
-        for sel in built:
+        for sel in self.selections:
             count = _pentagon_count(sel, self)
             if count > MAX_PENTAGONS:
                 raise ValueError(
@@ -374,9 +376,7 @@ def cmd_capacity_check(cfg: RunConfig) -> int:
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     threshold = b_star(ch)
     in_regime = 1.0 - 1e-12 <= cfg.b <= threshold + REGIME_TOL
-    n = cfg.n_points or DEFAULT_GRID
-    inner = g3p_region(ch, n, cfg.n_directions)
-    outer = co1_region(ch, n, cfg.n_directions)
+    inner, outer = (build_region(sel, ch, cfg) for sel in cfg.selections)
     gap = directed_gap(outer, inner)
     print(f"p1 = {cfg.p1:g}, p2 = {cfg.p2:g}, b = {cfg.b:g}")
     print(f"b_star = {threshold:.9g}")

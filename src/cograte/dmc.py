@@ -13,12 +13,15 @@ joint table is materialized on demand.  Five variants exist:
 
 Each eval_* operation turns one distribution into the pentagon of its rate
 bounds; negative first bounds mark the pentagon EMPTY rather than being
-clamped.  Axis letters used throughout: u=u1, v=v2, a=w1, b=w2, x=x1,
-z=x2, m=y1, n=y2.
+clamped.  Axis letters used throughout: u=u1, v=v2, a=w1, b=w2, c=u (the
+outer bound's cooperative u), x=x1, z=x2, m=y1, n=y2.  The ``_FACTORS``
+table is the single source of each factorization: the joint's axes, its
+einsum and the auxiliaries are all derived from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,16 +35,33 @@ _NORM_TOL = 1e-9
 #: Largest joint table materialized before refusing (entries, not bytes).
 MAX_JOINT_ENTRIES = 10**8
 
-VARIANTS = ("full", "r1", "r2", "r3", "outer")
+#: Variable name per axis letter.
+_VARS = {"u": "u1", "v": "v2", "a": "w1", "b": "w2", "c": "u", "x": "x1", "z": "x2"}
 
-#: Auxiliary names per variant, in factor-sampling order.
-_AUX_NAMES = {
-    "full": ("u1", "v2", "w1", "w2"),
-    "r1": ("v2", "w1", "w2"),
-    "r2": ("u1", "v2"),
-    "r3": ("u1", "v2"),
-    "outer": ("u",),
+#: Factors per variant in sampling order (which fixes the RNG draw order):
+#: (name, axis letters, number of trailing distribution axes).
+_FACTORS = {
+    "full": (
+        ("pu1", "u", 0), ("pv2", "v", 0), ("pw12", "uvab", 2),
+        ("px1", "uvabx", 1), ("px2", "vz", 1),
+    ),
+    "r1": (("pv2", "v", 0), ("pw12", "vab", 2), ("px1", "vabx", 1), ("px2", "vz", 1)),
+    "r2": (("pu1", "u", 0), ("pv2", "v", 0), ("px1", "uvx", 1), ("px2", "vz", 1)),
+    "r3": (("puv", "uv", 0), ("px1", "uvx", 1), ("px2", "vz", 1)),
+    "outer": (("puxx", "cxz", 0),),
 }
+
+VARIANTS = tuple(_FACTORS)
+
+#: Joint axes (letters in order of first appearance), the einsum that
+#: multiplies the factors into the joint, and the auxiliary variable names.
+_JOINT_AXES = {
+    v: "".join(dict.fromkeys("".join(axes for _, axes, _ in fs))) for v, fs in _FACTORS.items()
+}
+_JOINT_EINSUM = {
+    v: ",".join(axes for _, axes, _ in fs) + "->" + _JOINT_AXES[v] for v, fs in _FACTORS.items()
+}
+_AUX = {v: tuple(_VARS[c] for c in axes if c not in "xz") for v, axes in _JOINT_AXES.items()}
 
 
 def _check_stochastic(name: str, arr: np.ndarray, block_ndim: int) -> np.ndarray:
@@ -104,45 +124,6 @@ class DmcChannel:
         return self.k2.reshape(self.nx1, self.nx2, self.ny2)
 
 
-#: factor name -> number of trailing distribution axes, per variant.
-_FACTOR_SPECS = {
-    "full": {"pu1": 0, "pv2": 0, "pw12": 2, "px1": 1, "px2": 1},
-    "r1": {"pv2": 0, "pw12": 2, "px1": 1, "px2": 1},
-    "r2": {"pu1": 0, "pv2": 0, "px1": 1, "px2": 1},
-    "r3": {"puv": 0, "px1": 1, "px2": 1},
-    "outer": {"puxx": 0},
-}
-
-#: factor name -> expected shape template in terms of size symbols.
-_FACTOR_SHAPES = {
-    "full": {
-        "pu1": ("u1",),
-        "pv2": ("v2",),
-        "pw12": ("u1", "v2", "w1", "w2"),
-        "px1": ("u1", "v2", "w1", "w2", "x1"),
-        "px2": ("v2", "x2"),
-    },
-    "r1": {
-        "pv2": ("v2",),
-        "pw12": ("v2", "w1", "w2"),
-        "px1": ("v2", "w1", "w2", "x1"),
-        "px2": ("v2", "x2"),
-    },
-    "r2": {
-        "pu1": ("u1",),
-        "pv2": ("v2",),
-        "px1": ("u1", "v2", "x1"),
-        "px2": ("v2", "x2"),
-    },
-    "r3": {
-        "puv": ("u1", "v2"),
-        "px1": ("u1", "v2", "x1"),
-        "px2": ("v2", "x2"),
-    },
-    "outer": {"puxx": ("u", "x1", "x2")},
-}
-
-
 @dataclass(frozen=True)
 class FactoredDist:
     """An input distribution stored as the factors of one scheme variant."""
@@ -153,17 +134,17 @@ class FactoredDist:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        spec = _FACTOR_SPECS[self.variant]
-        if set(self.factors) != set(spec):
+        spec = _FACTORS[self.variant]
+        names = sorted(name for name, _, _ in spec)
+        if set(self.factors) != set(names):
             raise ValueError(
-                f"variant {self.variant!r} needs factors {sorted(spec)}, "
-                f"got {sorted(self.factors)}"
+                f"variant {self.variant!r} needs factors {names}, got {sorted(self.factors)}"
             )
         sizes: dict[str, int] = {}
         checked = {}
-        for name, block in spec.items():
+        for name, axes, block in spec:
             arr = _check_stochastic(name, self.factors[name], block)
-            template = _FACTOR_SHAPES[self.variant][name]
+            template = tuple(_VARS[c] for c in axes)
             if arr.ndim != len(template):
                 raise ValueError(f"{name} must have axes {template}, got shape {arr.shape}")
             for sym, n in zip(template, arr.shape):
@@ -186,37 +167,14 @@ class FactoredDist:
         Axis order: full (u1,v2,w1,w2,x1,x2); r1 (v2,w1,w2,x1,x2);
         r2 and r3 (u1,v2,x1,x2); outer (u,x1,x2).
         """
-        s = self._sizes
-        n_entries = 1
-        for sym in _JOINT_AXES[self.variant]:
-            n_entries *= s[sym]
+        n_entries = math.prod(self._sizes[_VARS[c]] for c in _JOINT_AXES[self.variant])
         if n_entries > MAX_JOINT_ENTRIES:
             raise ValueError(
                 f"joint table would need {n_entries} entries "
                 f"(limit {MAX_JOINT_ENTRIES}); shrink the alphabets"
             )
-        f = self.factors
-        if self.variant == "full":
-            return np.einsum(
-                "u,v,uvab,uvabx,vz->uvabxz",
-                f["pu1"], f["pv2"], f["pw12"], f["px1"], f["px2"],
-            )
-        if self.variant == "r1":
-            return np.einsum("v,vab,vabx,vz->vabxz", f["pv2"], f["pw12"], f["px1"], f["px2"])
-        if self.variant == "r2":
-            return np.einsum("u,v,uvx,vz->uvxz", f["pu1"], f["pv2"], f["px1"], f["px2"])
-        if self.variant == "r3":
-            return np.einsum("uv,uvx,vz->uvxz", f["puv"], f["px1"], f["px2"])
-        return f["puxx"]
-
-
-_JOINT_AXES = {
-    "full": ("u1", "v2", "w1", "w2", "x1", "x2"),
-    "r1": ("v2", "w1", "w2", "x1", "x2"),
-    "r2": ("u1", "v2", "x1", "x2"),
-    "r3": ("u1", "v2", "x1", "x2"),
-    "outer": ("u", "x1", "x2"),
-}
+        spec = _FACTORS[self.variant]
+        return np.einsum(_JOINT_EINSUM[self.variant], *(self.factors[n] for n, _, _ in spec))
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -296,18 +254,17 @@ def _cmi(joint, a, b, c) -> float:
     return conditional_mi(_table(joint, (a, b, c)))
 
 
-def _expect_variant(d: FactoredDist, variant: str) -> None:
+def _joint(d: FactoredDist, ch: DmcChannel, variant: str) -> np.ndarray:
+    """Joint table of d, once d is of the variant and matches ch's inputs."""
     if d.variant != variant:
         raise ValueError(f"expected a {variant!r} distribution, got {d.variant!r}")
-
-
-def _check_alphabets(d: FactoredDist, ch: DmcChannel) -> None:
     s = d.sizes
-    if s.get("x1", ch.nx1) != ch.nx1 or s.get("x2", ch.nx2) != ch.nx2:
+    if (s["x1"], s["x2"]) != (ch.nx1, ch.nx2):
         raise ValueError(
-            f"distribution alphabets (x1={s.get('x1')}, x2={s.get('x2')}) "
+            f"distribution alphabets (x1={s['x1']}, x2={s['x2']}) "
             f"do not match channel ({ch.nx1}, {ch.nx2})"
         )
+    return d.joint()
 
 
 def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
@@ -317,9 +274,7 @@ def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     sum = min over the two decoder orders, each with the binning penalty
     I(W1;W2,V2|U1) subtracted.
     """
-    _expect_variant(d, "full")
-    _check_alphabets(d, ch)
-    base = d.joint()  # (u, v, a, b, x, z)
+    base = _joint(d, ch, "full")  # (u, v, a, b, x, z)
     t_y1 = np.einsum("uvabxz,xm->uvabm", base, ch.k1)
     t_y2 = np.einsum("uvabxz,xzn->uvabn", base, ch.k2_cube)
     aux = base.sum(axis=(4, 5))  # (u, v, a, b)
@@ -339,9 +294,7 @@ def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
 
 def eval_region_R1(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the no-common-layer scheme (binning only)."""
-    _expect_variant(d, "r1")
-    _check_alphabets(d, ch)
-    base = d.joint()  # (v, a, b, x, z)
+    base = _joint(d, ch, "r1")  # (v, a, b, x, z)
     t_y1 = np.einsum("vabxz,xm->vabm", base, ch.k1)
     t_y2 = np.einsum("vabxz,xzn->vabn", base, ch.k2_cube)
     aux = base.sum(axis=(3, 4))  # (v, a, b)
@@ -356,9 +309,7 @@ def eval_region_R1(d: FactoredDist, ch: DmcChannel) -> Pentagon:
 
 def eval_region_R2(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the superposition-only scheme."""
-    _expect_variant(d, "r2")
-    _check_alphabets(d, ch)
-    base = d.joint()  # (u, v, x, z)
+    base = _joint(d, ch, "r2")  # (u, v, x, z)
     t_y1 = np.einsum("uvxz,xm->uvm", base, ch.k1)
     t_y2 = np.einsum("uvxz,xzn->uvn", base, ch.k2_cube)
 
@@ -370,9 +321,7 @@ def eval_region_R2(d: FactoredDist, ch: DmcChannel) -> Pentagon:
 
 def eval_region_R3(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the precoded-common-message scheme ((U1,V2) correlated)."""
-    _expect_variant(d, "r3")
-    _check_alphabets(d, ch)
-    base = d.joint()  # (u, v, x, z)
+    base = _joint(d, ch, "r3")  # (u, v, x, z)
     t_y1 = np.einsum("uvxz,xm->uvm", base, ch.k1)
     t_y2 = np.einsum("uvxz,xzn->uvn", base, ch.k2_cube)
 
@@ -384,11 +333,9 @@ def eval_region_R3(d: FactoredDist, ch: DmcChannel) -> Pentagon:
 
 def eval_outer_co2_dmc(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the finite-alphabet outer bound at one p(u,x1,x2)."""
-    _expect_variant(d, "outer")
-    _check_alphabets(d, ch)
-    base = d.joint()  # (u, x, z)
-    t_y1 = np.einsum("uxz,xm->uxzm", base, ch.k1)
-    t_y2 = np.einsum("uxz,xzn->uxzn", base, ch.k2_cube)
+    base = _joint(d, ch, "outer")  # (c, x, z)
+    t_y1 = np.einsum("cxz,xm->cxzm", base, ch.k1)
+    t_y2 = np.einsum("cxz,xzn->cxzn", base, ch.k2_cube)
 
     r1 = min(_cmi(t_y1, (1,), (3,), (2,)), _mi(t_y1, (0,), (3,)))
     r2 = _cmi(t_y2, (1, 2), (3,), (0,))
@@ -440,17 +387,6 @@ def check_high_interference(
     )
 
 
-def _default_aux_sizes(variant: str, ch: DmcChannel) -> dict:
-    base = {
-        "u1": ch.nx1,
-        "w1": ch.nx1,
-        "w2": ch.nx1,
-        "v2": ch.nx2,
-        "u": ch.nx1 * ch.nx2,
-    }
-    return {k: base[k] for k in _AUX_NAMES[variant]}
-
-
 def _dirichlet_rows(rng: np.random.Generator, shape: tuple, block_ndim: int) -> np.ndarray:
     """Sample a stochastic factor: Dirichlet(1) over each trailing block."""
     if block_ndim == 0:
@@ -474,20 +410,20 @@ def random_dist(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    sizes = _default_aux_sizes(variant, ch)
+    mirror = {"u": ch.nx1, "a": ch.nx1, "b": ch.nx1, "x": ch.nx1, "v": ch.nx2, "z": ch.nx2,
+              "c": ch.nx1 * ch.nx2}
+    sizes = {_VARS[c]: mirror[c] for c in _JOINT_AXES[variant]}
     for key, val in (aux_sizes or {}).items():
-        if key not in sizes:
+        if key not in _AUX[variant]:
             raise ValueError(f"variant {variant!r} has no auxiliary {key!r}")
         if val < 1:
             raise ValueError(f"auxiliary {key!r} size must be >= 1, got {val}")
         sizes[key] = int(val)
-    sizes["x1"] = ch.nx1
-    sizes["x2"] = ch.nx2
     rng = rng if rng is not None else np.random.default_rng(0)
-    factors = {}
-    for name, block in _FACTOR_SPECS[variant].items():
-        shape = tuple(sizes[sym] for sym in _FACTOR_SHAPES[variant][name])
-        factors[name] = _dirichlet_rows(rng, shape, block)
+    factors = {
+        name: _dirichlet_rows(rng, tuple(sizes[_VARS[c]] for c in axes), block)
+        for name, axes, block in _FACTORS[variant]
+    }
     return FactoredDist(variant, factors)
 
 
@@ -515,9 +451,9 @@ def random_search_region(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    evaluate = _EVALUATORS[variant] if variant in VARIANTS else None
-    if evaluate is None:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    evaluate = _EVALUATORS[variant]
     pentagons = []
     n_empty = 0
     for i in range(n_samples):

@@ -2,6 +2,7 @@
 degraded-message-set region, and their intersection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ class TestBcdmsRegion:
             bc = bcdms_region(ch, n_grid=41, n_directions=181)
             c1 = co1_region(ch, n_rho=201, n_directions=181)
             assert abs(bc.support[90] - c1.support[90]) <= 1e-9
+
+    def test_zero_log_argument_is_silent(self):
+        # at b=1000 a non-PSD private split can put 1 + b^2 a + 2 b c + d at
+        # exactly 0; it is masked out, so its log2 must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reg = bcdms_region(ChannelParams(0.001, 0.001, 1000), n_grid=5, n_directions=31)
+        assert np.isfinite(reg.support).all()
 
     def test_infeasible_split_rejected(self):
         split = CovSplit(c_tot=0.0, p1_priv=7.0, p2_priv=0.0, c_priv=0.0)

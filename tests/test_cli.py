@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestRegionCommand:
                      "--output", str(tmp_path), *SMALL])
         assert code == 0
         path = capsys.readouterr().out.strip().splitlines()[0]
-        svg = open(path).read()
+        svg = Path(path).read_text()
         assert svg.startswith("<svg")
         assert svg.count("<polyline") >= 2
         assert 'width="800"' in svg and 'height="600"' in svg
@@ -273,7 +274,7 @@ class TestFigureCommand:
         for sel in ("g3p", "co1"):
             for btag in ("b1", "b1.3628", "b3.3628"):
                 assert f"fig2_{sel}_{btag}.csv" in csvs
-        svg = open(tmp_path / "fig2.svg").read()
+        svg = (tmp_path / "fig2.svg").read_text()
         assert svg.count("<polyline") >= 6
 
     def test_fig3_gain_override(self, tmp_path, capsys):

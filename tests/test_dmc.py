@@ -316,6 +316,30 @@ class TestFactoredDistIntegrity:
             d.joint()
 
 
+#: Each variant's factorization written out by hand: the joint's einsum over
+#: its factors, and the variable names its alphabet sizes are keyed by.
+HAND_FACTORIZATIONS = {
+    "full": ("u,v,uvab,uvabx,vz->uvabxz", ("pu1", "pv2", "pw12", "px1", "px2"),
+             {"u1", "v2", "w1", "w2", "x1", "x2"}),
+    "r1": ("v,vab,vabx,vz->vabxz", ("pv2", "pw12", "px1", "px2"),
+           {"v2", "w1", "w2", "x1", "x2"}),
+    "r2": ("u,v,uvx,vz->uvxz", ("pu1", "pv2", "px1", "px2"), {"u1", "v2", "x1", "x2"}),
+    "r3": ("uv,uvx,vz->uvxz", ("puv", "px1", "px2"), {"u1", "v2", "x1", "x2"}),
+    "outer": ("uxz->uxz", ("puxx",), {"u", "x1", "x2"}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(HAND_FACTORIZATIONS))
+def test_derived_factorization_matches_hand_written(variant):
+    subscripts, names, variables = HAND_FACTORIZATIONS[variant]
+    k2 = np.random.default_rng(3).dirichlet(np.ones(2), size=6).reshape(2, 3, 2)
+    ch = DmcChannel.from_kernels(bsc(0.1), k2)  # nx1=2, nx2=3
+    d = random_dist(variant, ch, rng=np.random.default_rng(11))
+    want = np.einsum(subscripts, *(d.factors[n] for n in names))
+    assert np.array_equal(d.joint(), want)
+    assert set(d.sizes) == variables
+
+
 class TestChainRuleOracle:
     def test_chain_rule_on_random_instances(self):
         rng = np.random.default_rng(7)
