@@ -136,7 +136,10 @@ def bcdms_region(
     a = p1s[:, None, None]
     d = p2s[None, :, None]
     c = c_privs[None, None, :]
-    priv_psd = c * c <= a * d + _PSD_TOL
+    # relative to the power product, so large gains and tiny powers admit
+    # no non-PSD split through roundoff slack
+    tol = _PSD_TOL * p1 * p2
+    priv_psd = c * c <= a * d + tol
     r1_grid = np.broadcast_to(0.5 * np.log2((p1 + 1.0) / (a + 1.0)), priv_psd.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         # entries violating priv_psd may have a zero or negative log
@@ -145,7 +148,7 @@ def bcdms_region(
 
     r1_parts, r2_parts, s_parts = [], [], []
     for ct in c_tots:
-        ok = priv_psd & ((ct - c) ** 2 <= (p1 - a) * (p2 - d) + _PSD_TOL)
+        ok = priv_psd & ((ct - c) ** 2 <= (p1 - a) * (p2 - d) + tol)
         if not np.any(ok):
             continue
         s_val = 0.5 * np.log2(1.0 + b * b * p1 + 2.0 * b * ct + p2)

@@ -14,9 +14,15 @@ joint table is materialized on demand.  Five variants exist:
 Each eval_* operation turns one distribution into the pentagon of its rate
 bounds; negative first bounds mark the pentagon EMPTY rather than being
 clamped.  Axis letters used throughout: u=u1, v=v2, a=w1, b=w2, c=u (the
-outer bound's cooperative u), x=x1, z=x2, m=y1, n=y2.  The ``_FACTORS``
-table is the single source of each factorization: the joint's axes, its
-einsum and the auxiliaries are all derived from it.
+outer bound's cooperative u), x=x1, z=x2, m=y1, n=y2, and s for the leading
+sample axis.  The ``_FACTORS`` table is the single source of each
+factorization: the joint's axes, its einsum and the auxiliaries are all
+derived from it.
+
+Every evaluation runs on a batch of samples stacked along the leading axis
+s; the single-distribution API is a batch of one.  The arithmetic of each
+sample does not depend on the batch it sits in, so a random search gives
+the same bits however its samples are chunked.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_union
+from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_pentagon_arrays
 from .model import Pentagon
 
 _ROW_TOL = 1e-12
@@ -35,31 +41,37 @@ _NORM_TOL = 1e-9
 #: Largest joint table materialized before refusing (entries, not bytes).
 MAX_JOINT_ENTRIES = 10**8
 
+#: Table entries per chunk of a random search: samples times the entries of
+#: a sample's largest table, a joint times one output alphabet.
+_CHUNK_ENTRIES = 2**18
+
 #: Variable name per axis letter.
 _VARS = {"u": "u1", "v": "v2", "a": "w1", "b": "w2", "c": "u", "x": "x1", "z": "x2"}
 
 #: Factors per variant in sampling order (which fixes the RNG draw order):
-#: (name, axis letters, number of trailing distribution axes).
+#: (name, axis letters, number of trailing axes one distribution spans).
 _FACTORS = {
     "full": (
-        ("pu1", "u", 0), ("pv2", "v", 0), ("pw12", "uvab", 2),
+        ("pu1", "u", 1), ("pv2", "v", 1), ("pw12", "uvab", 2),
         ("px1", "uvabx", 1), ("px2", "vz", 1),
     ),
-    "r1": (("pv2", "v", 0), ("pw12", "vab", 2), ("px1", "vabx", 1), ("px2", "vz", 1)),
-    "r2": (("pu1", "u", 0), ("pv2", "v", 0), ("px1", "uvx", 1), ("px2", "vz", 1)),
-    "r3": (("puv", "uv", 0), ("px1", "uvx", 1), ("px2", "vz", 1)),
-    "outer": (("puxx", "cxz", 0),),
+    "r1": (("pv2", "v", 1), ("pw12", "vab", 2), ("px1", "vabx", 1), ("px2", "vz", 1)),
+    "r2": (("pu1", "u", 1), ("pv2", "v", 1), ("px1", "uvx", 1), ("px2", "vz", 1)),
+    "r3": (("puv", "uv", 2), ("px1", "uvx", 1), ("px2", "vz", 1)),
+    "outer": (("puxx", "cxz", 3),),
 }
 
 VARIANTS = tuple(_FACTORS)
 
 #: Joint axes (letters in order of first appearance), the einsum that
-#: multiplies the factors into the joint, and the auxiliary variable names.
+#: multiplies a batch of factors into a batch of joints, and the auxiliary
+#: variable names.
 _JOINT_AXES = {
     v: "".join(dict.fromkeys("".join(axes for _, axes, _ in fs))) for v, fs in _FACTORS.items()
 }
 _JOINT_EINSUM = {
-    v: ",".join(axes for _, axes, _ in fs) + "->" + _JOINT_AXES[v] for v, fs in _FACTORS.items()
+    v: ",".join("s" + axes for _, axes, _ in fs) + "->s" + _JOINT_AXES[v]
+    for v, fs in _FACTORS.items()
 }
 _AUX = {v: tuple(_VARS[c] for c in axes if c not in "xz") for v, axes in _JOINT_AXES.items()}
 
@@ -67,15 +79,30 @@ _AUX = {v: tuple(_VARS[c] for c in axes if c not in "xz") for v, axes in _JOINT_
 def _check_stochastic(name: str, arr: np.ndarray, block_ndim: int) -> np.ndarray:
     """Validate a factor whose trailing block_ndim axes form a distribution."""
     a = np.asarray(arr, dtype=float)
-    if a.ndim < max(block_ndim, 1):
+    if a.ndim < block_ndim:
         raise ValueError(f"{name} needs at least {block_ndim} axes, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or np.any(a < 0.0):
         raise ValueError(f"{name} entries must be finite and >= 0")
-    block = tuple(range(a.ndim - block_ndim, a.ndim)) if block_ndim else None
-    sums = a.sum(axis=block) if block else a.sum()
+    sums = a.sum(axis=tuple(range(a.ndim - block_ndim, a.ndim)))
     if not np.all(np.abs(sums - 1.0) <= _ROW_TOL):
         raise ValueError(f"{name} rows must sum to 1 within {_ROW_TOL}")
     return a
+
+
+def _check_joint_entries(variant: str, sizes: dict) -> int:
+    """Entries of one joint table of the variant; refuses above MAX_JOINT_ENTRIES."""
+    n_entries = math.prod(sizes[_VARS[c]] for c in _JOINT_AXES[variant])
+    if n_entries > MAX_JOINT_ENTRIES:
+        raise ValueError(
+            f"joint table would need {n_entries} entries "
+            f"(limit {MAX_JOINT_ENTRIES}); shrink the alphabets"
+        )
+    return n_entries
+
+
+def _joints(variant: str, factors: dict) -> np.ndarray:
+    """Batch of joint tables from a batch of the variant's factors."""
+    return np.einsum(_JOINT_EINSUM[variant], *(factors[n] for n, _, _ in _FACTORS[variant]))
 
 
 @dataclass(frozen=True)
@@ -167,14 +194,8 @@ class FactoredDist:
         Axis order: full (u1,v2,w1,w2,x1,x2); r1 (v2,w1,w2,x1,x2);
         r2 and r3 (u1,v2,x1,x2); outer (u,x1,x2).
         """
-        n_entries = math.prod(self._sizes[_VARS[c]] for c in _JOINT_AXES[self.variant])
-        if n_entries > MAX_JOINT_ENTRIES:
-            raise ValueError(
-                f"joint table would need {n_entries} entries "
-                f"(limit {MAX_JOINT_ENTRIES}); shrink the alphabets"
-            )
-        spec = _FACTORS[self.variant]
-        return np.einsum(_JOINT_EINSUM[self.variant], *(self.factors[n] for n, _, _ in spec))
+        _check_joint_entries(self.variant, self._sizes)
+        return _joints(self.variant, {n: f[None] for n, f in self.factors.items()})[0]
 
 
 def mutual_information(joint: np.ndarray) -> float:
@@ -186,14 +207,7 @@ def mutual_information(joint: np.ndarray) -> float:
     t = np.asarray(joint, dtype=float)
     if t.ndim != 2:
         raise ValueError(f"mutual information needs a 2-D table, got {t.ndim}-D")
-    _check_table(t)
-    pa = t.sum(axis=1)
-    pb = t.sum(axis=0)
-    mask = t > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = t * np.log2(t / (pa[:, None] * pb[None, :]))
-    mi = float(np.sum(terms[mask]))
-    return _guard_mi(mi, min(t.shape))
+    return float(_mutual_information(t[None])[0])
 
 
 def conditional_mi(joint: np.ndarray) -> float:
@@ -201,61 +215,83 @@ def conditional_mi(joint: np.ndarray) -> float:
     t = np.asarray(joint, dtype=float)
     if t.ndim != 3:
         raise ValueError(f"conditional mutual information needs a 3-D table, got {t.ndim}-D")
+    return float(_conditional_mi(t[None])[0])
+
+
+def _mutual_information(t: np.ndarray) -> np.ndarray:
+    """I(A;B) per sample of a batch of tables over (s, A, B)."""
     _check_table(t)
-    pac = t.sum(axis=1)
-    pbc = t.sum(axis=0)
-    pc = pac.sum(axis=0)
-    mask = t > 0.0
+    pa = t.sum(axis=2)
+    pb = t.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = t * np.log2(t * pc[None, None, :] / (pac[:, None, :] * pbc[None, :, :]))
-    mi = float(np.sum(terms[mask]))
-    return _guard_mi(mi, min(t.shape[0], t.shape[1]))
+        terms = t * np.log2(t / (pa[:, :, None] * pb[:, None, :]))
+    return _guard_mi(_masked_sum(t, terms), min(t.shape[1:]))
+
+
+def _conditional_mi(t: np.ndarray) -> np.ndarray:
+    """I(A;B|C) per sample of a batch of tables over (s, A, B, C)."""
+    _check_table(t)
+    pac = t.sum(axis=2)
+    pbc = t.sum(axis=1)
+    pc = pac.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = t * np.log2(
+            t * pc[:, None, None, :] / (pac[:, :, None, :] * pbc[:, None, :, :])
+        )
+    return _guard_mi(_masked_sum(t, terms), min(t.shape[1], t.shape[2]))
+
+
+def _masked_sum(t: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per-sample sum of the terms where the table is positive (0 log 0 = 0)."""
+    return np.where(t > 0.0, terms, 0.0).reshape(len(t), -1).sum(axis=1)
 
 
 def _check_table(t: np.ndarray) -> None:
+    """Validate every table of a batch; the first bad sample is reported."""
     if not np.all(np.isfinite(t)) or np.any(t < 0.0):
         raise ValueError("probability table entries must be finite and >= 0")
-    if abs(float(t.sum()) - 1.0) > _NORM_TOL:
-        raise ValueError(f"probability table sums to {t.sum()!r}, not 1")
+    off = np.abs(t.reshape(len(t), -1).sum(axis=1) - 1.0) > _NORM_TOL
+    if np.any(off):
+        raise ValueError(f"probability table sums to {t[np.argmax(off)].sum()!r}, not 1")
 
 
-def _guard_mi(mi: float, n_min: int) -> float:
-    if mi < -1e-12:
-        raise FloatingPointError(f"mutual information came out negative: {mi}")
+def _guard_mi(mi: np.ndarray, n_min: int) -> np.ndarray:
     cap = np.log2(n_min) if n_min > 1 else 0.0
-    if mi > cap + _NORM_TOL:
-        raise FloatingPointError(f"mutual information {mi} exceeds its alphabet cap {cap}")
-    return max(mi, 0.0)
+    negative = mi < -1e-12
+    bad = negative | (mi > cap + _NORM_TOL)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise FloatingPointError(f"mutual information came out negative: {float(mi[i])}")
+        raise FloatingPointError(
+            f"mutual information {float(mi[i])} exceeds its alphabet cap {cap}"
+        )
+    return np.where(mi < 0.0, 0.0, mi)
 
 
 def _table(joint: np.ndarray, groups) -> np.ndarray:
-    """Marginalize to the listed axes and merge each group into one axis."""
+    """Marginalize a batch to the listed axes and merge each group into one axis.
+
+    Axis numbers count a sample's axes, after the leading sample axis.
+    """
     keep = [ax for g in groups for ax in g]
-    other = tuple(i for i in range(joint.ndim) if i not in keep)
+    other = tuple(i + 1 for i in range(joint.ndim - 1) if i not in keep)
     t = joint.sum(axis=other) if other else joint
-    order = {ax: i for i, ax in enumerate(sorted(keep))}
-    t = np.transpose(t, [order[ax] for ax in keep])
-    dims = []
-    k = 0
-    for g in groups:
-        n = 1
-        for _ in g:
-            n *= t.shape[k]
-            k += 1
-        dims.append(n)
-    return t.reshape(dims)
+    order = {ax: i + 1 for i, ax in enumerate(sorted(keep))}
+    t = np.transpose(t, [0] + [order[ax] for ax in keep])
+    return t.reshape([len(t)] + [math.prod(joint.shape[ax + 1] for ax in g) for g in groups])
 
 
-def _mi(joint, a, b) -> float:
-    return mutual_information(_table(joint, (a, b)))
+def _mi(joint, a, b) -> np.ndarray:
+    return _mutual_information(_table(joint, (a, b)))
 
 
-def _cmi(joint, a, b, c) -> float:
-    return conditional_mi(_table(joint, (a, b, c)))
+def _cmi(joint, a, b, c) -> np.ndarray:
+    return _conditional_mi(_table(joint, (a, b, c)))
 
 
 def _joint(d: FactoredDist, ch: DmcChannel, variant: str) -> np.ndarray:
-    """Joint table of d, once d is of the variant and matches ch's inputs."""
+    """Joint table of d as a batch of one, once d is of the variant and matches ch."""
     if d.variant != variant:
         raise ValueError(f"expected a {variant!r} distribution, got {d.variant!r}")
     s = d.sizes
@@ -264,20 +300,19 @@ def _joint(d: FactoredDist, ch: DmcChannel, variant: str) -> np.ndarray:
             f"distribution alphabets (x1={s['x1']}, x2={s['x2']}) "
             f"do not match channel ({ch.nx1}, {ch.nx2})"
         )
-    return d.joint()
+    return d.joint()[None]
 
 
-def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
-    """Pentagon of the full scheme: rate splitting plus double binning.
+def _pentagon(bounds: tuple) -> Pentagon:
+    """The Pentagon of a batch of one (r1, r2, sum) bound arrays."""
+    return Pentagon(*(float(b[0]) for b in bounds))
 
-    Bounds: r1 = I(U1,W1;Y1) - I(W1;V2|U1); r2 = I(V2,W2;Y2|U1);
-    sum = min over the two decoder orders, each with the binning penalty
-    I(W1;W2,V2|U1) subtracted.
-    """
-    base = _joint(d, ch, "full")  # (u, v, a, b, x, z)
-    t_y1 = np.einsum("uvabxz,xm->uvabm", base, ch.k1)
-    t_y2 = np.einsum("uvabxz,xzn->uvabn", base, ch.k2_cube)
-    aux = base.sum(axis=(4, 5))  # (u, v, a, b)
+
+def _full_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
+    # base is (s, u, v, a, b, x, z)
+    t_y1 = np.einsum("suvabxz,xm->suvabm", base, ch.k1)
+    t_y2 = np.einsum("suvabxz,xzn->suvabn", base, ch.k2_cube)
+    aux = base.sum(axis=(5, 6))  # (s, u, v, a, b)
 
     i_uw_y1 = _mi(t_y1, (0, 2), (4,))
     i_w_v_u = _cmi(aux, (2,), (1,), (0,))
@@ -288,59 +323,134 @@ def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
 
     r1 = i_uw_y1 - i_w_v_u
     r2 = i_vw_y2_u
-    s = min(r2 + i_uw_y1 - penalty, i_vwu_y2 + i_w_y1_u - penalty)
-    return Pentagon(r1, r2, s)
+    s = np.minimum(r2 + i_uw_y1 - penalty, i_vwu_y2 + i_w_y1_u - penalty)
+    return r1, r2, s
 
 
-def eval_region_R1(d: FactoredDist, ch: DmcChannel) -> Pentagon:
-    """Pentagon of the no-common-layer scheme (binning only)."""
-    base = _joint(d, ch, "r1")  # (v, a, b, x, z)
-    t_y1 = np.einsum("vabxz,xm->vabm", base, ch.k1)
-    t_y2 = np.einsum("vabxz,xzn->vabn", base, ch.k2_cube)
-    aux = base.sum(axis=(3, 4))  # (v, a, b)
+def _r1_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
+    # base is (s, v, a, b, x, z)
+    t_y1 = np.einsum("svabxz,xm->svabm", base, ch.k1)
+    t_y2 = np.einsum("svabxz,xzn->svabn", base, ch.k2_cube)
+    aux = base.sum(axis=(4, 5))  # (s, v, a, b)
 
     i_w_y1 = _mi(t_y1, (1,), (3,))
     i_w_v = _mi(aux, (1,), (0,))
     i_vw_y2 = _mi(t_y2, (0, 2), (3,))
     penalty = _mi(aux, (1,), (2, 0))
+    return i_w_y1 - i_w_v, i_vw_y2, i_vw_y2 + i_w_y1 - penalty
 
-    return Pentagon(i_w_y1 - i_w_v, i_vw_y2, i_vw_y2 + i_w_y1 - penalty)
+
+def _r2_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
+    # base is (s, u, v, x, z)
+    t_y1 = np.einsum("suvxz,xm->suvm", base, ch.k1)
+    t_y2 = np.einsum("suvxz,xzn->suvn", base, ch.k2_cube)
+    return _mi(t_y1, (0,), (2,)), _cmi(t_y2, (1,), (2,), (0,)), _mi(t_y2, (1, 0), (2,))
+
+
+def _r3_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
+    # base is (s, u, v, x, z)
+    t_y1 = np.einsum("suvxz,xm->suvm", base, ch.k1)
+    t_y2 = np.einsum("suvxz,xzn->suvn", base, ch.k2_cube)
+    r1 = _mi(t_y1, (0,), (2,)) - _mi(base.sum(axis=(3, 4)), (0,), (1,))
+    return r1, _mi(t_y2, (1,), (0, 2)), _mi(t_y2, (0, 1), (2,))
+
+
+def _outer_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
+    # base is (s, c, x, z)
+    t_y1 = np.einsum("scxz,xm->scxzm", base, ch.k1)
+    t_y2 = np.einsum("scxz,xzn->scxzn", base, ch.k2_cube)
+    r1 = np.minimum(_cmi(t_y1, (1,), (3,), (2,)), _mi(t_y1, (0,), (3,)))
+    return r1, _cmi(t_y2, (1, 2), (3,), (0,)), _mi(t_y2, (1, 2), (3,))
+
+
+def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
+    """Pentagon of the full scheme: rate splitting plus double binning.
+
+    Bounds: r1 = I(U1,W1;Y1) - I(W1;V2|U1); r2 = I(V2,W2;Y2|U1);
+    sum = min over the two decoder orders, each with the binning penalty
+    I(W1;W2,V2|U1) subtracted.
+    """
+    return _pentagon(_full_bounds(_joint(d, ch, "full"), ch))
+
+
+def eval_region_R1(d: FactoredDist, ch: DmcChannel) -> Pentagon:
+    """Pentagon of the no-common-layer scheme (binning only)."""
+    return _pentagon(_r1_bounds(_joint(d, ch, "r1"), ch))
 
 
 def eval_region_R2(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the superposition-only scheme."""
-    base = _joint(d, ch, "r2")  # (u, v, x, z)
-    t_y1 = np.einsum("uvxz,xm->uvm", base, ch.k1)
-    t_y2 = np.einsum("uvxz,xzn->uvn", base, ch.k2_cube)
-
-    r1 = _mi(t_y1, (0,), (2,))
-    r2 = _cmi(t_y2, (1,), (2,), (0,))
-    s = _mi(t_y2, (1, 0), (2,))
-    return Pentagon(r1, r2, s)
+    return _pentagon(_r2_bounds(_joint(d, ch, "r2"), ch))
 
 
 def eval_region_R3(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the precoded-common-message scheme ((U1,V2) correlated)."""
-    base = _joint(d, ch, "r3")  # (u, v, x, z)
-    t_y1 = np.einsum("uvxz,xm->uvm", base, ch.k1)
-    t_y2 = np.einsum("uvxz,xzn->uvn", base, ch.k2_cube)
-
-    r1 = _mi(t_y1, (0,), (2,)) - _mi(base.sum(axis=(2, 3)), (0,), (1,))
-    r2 = _mi(t_y2, (1,), (0, 2))
-    s = _mi(t_y2, (0, 1), (2,))
-    return Pentagon(r1, r2, s)
+    return _pentagon(_r3_bounds(_joint(d, ch, "r3"), ch))
 
 
 def eval_outer_co2_dmc(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the finite-alphabet outer bound at one p(u,x1,x2)."""
-    base = _joint(d, ch, "outer")  # (c, x, z)
-    t_y1 = np.einsum("cxz,xm->cxzm", base, ch.k1)
-    t_y2 = np.einsum("cxz,xzn->cxzn", base, ch.k2_cube)
+    return _pentagon(_outer_bounds(_joint(d, ch, "outer"), ch))
 
-    r1 = min(_cmi(t_y1, (1,), (3,), (2,)), _mi(t_y1, (0,), (3,)))
-    r2 = _cmi(t_y2, (1, 2), (3,), (0,))
-    s = _mi(t_y2, (1, 2), (3,))
-    return Pentagon(r1, r2, s)
+
+def _dirichlet(rngs: list, shapes: list) -> list:
+    """Dirichlet(1) arrays of the given (shape, block) pairs, stacked over rngs.
+
+    Each block of trailing axes is one distribution.  Bit for bit what
+    rng.dirichlet(np.ones(k), size=rows) gives per shape, in order: with
+    all-ones alpha numpy draws standard exponentials (gamma(1) variates) row
+    by row, sums each row left to right and multiplies it by the reciprocal
+    of the sum.  Here one standard_exponential call per rng covers every shape.
+    """
+    counts = [math.prod(shape) for shape, _ in shapes]
+    draws = np.stack([rng.standard_exponential(sum(counts)) for rng in rngs])
+    out, lo = [], 0
+    for (shape, block), count in zip(shapes, counts):
+        k = math.prod(shape[len(shape) - block:])
+        rows = draws[:, lo:lo + count].reshape(len(rngs), -1, k)
+        # cumsum is sequential, so its last column is numpy's running sum
+        rows = rows * (1.0 / np.cumsum(rows, axis=-1)[..., -1:])
+        out.append(rows.reshape(len(rngs), *shape))
+        lo += count
+    return out
+
+
+def _sample_factors(variant: str, sizes: dict, rngs: list) -> dict:
+    """The variant's factors, one sample per rng, stacked along axis s."""
+    spec = _FACTORS[variant]
+    shapes = [(tuple(sizes[_VARS[c]] for c in axes), block) for _, axes, block in spec]
+    return dict(zip((name for name, _, _ in spec), _dirichlet(rngs, shapes)))
+
+
+def _alphabet_sizes(variant: str, ch: DmcChannel, aux_sizes: dict | None) -> dict:
+    """Alphabet size per variable of the variant's joint.
+
+    The auxiliaries mirror the alphabet of the input they drive (the
+    cooperative u defaults to nx1*nx2); aux_sizes overrides them.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    mirror = {"u": ch.nx1, "a": ch.nx1, "b": ch.nx1, "x": ch.nx1, "v": ch.nx2, "z": ch.nx2,
+              "c": ch.nx1 * ch.nx2}
+    sizes = {_VARS[c]: mirror[c] for c in _JOINT_AXES[variant]}
+    for key, val in (aux_sizes or {}).items():
+        if key not in _AUX[variant]:
+            raise ValueError(f"variant {variant!r} has no auxiliary {key!r}")
+        if val < 1:
+            raise ValueError(f"auxiliary {key!r} size must be >= 1, got {val}")
+        sizes[key] = int(val)
+    return sizes
+
+
+def _chunks(n_samples: int, entries_per_sample: int) -> list:
+    """Sample index ranges of at most _CHUNK_ENTRIES table entries each."""
+    step = max(1, _CHUNK_ENTRIES // entries_per_sample)
+    return [range(lo, min(lo + step, n_samples)) for lo in range(0, n_samples, step)]
+
+
+def _substreams(seed: int, indices: range) -> list:
+    """The PRNG of each sample index: substream (seed, i)."""
+    return [np.random.default_rng((seed, i)) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -364,37 +474,27 @@ def check_high_interference(
 
     margin = I(X1;Y2|X2) - I(X1;Y1|X2) per sample; margins below -1e-9
     count as refutations (smaller wobbles are roundoff on equality cases).
+    Sample i is Dirichlet(1) from the PRNG substream (seed, i); the witness
+    is the first sample with the smallest margin.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    worst = np.inf
-    witness = None
-    cube = ch.k2_cube
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        pxx = rng.dirichlet(np.ones(ch.nx1 * ch.nx2)).reshape(ch.nx1, ch.nx2)
-        t_y1 = np.einsum("xz,xm->xzm", pxx, ch.k1)
-        t_y2 = np.einsum("xz,xzn->xzn", pxx, cube)
-        margin = _cmi(t_y2, (0,), (2,), (1,)) - _cmi(t_y1, (0,), (2,), (1,))
-        if margin < worst:
-            worst = margin
-            witness = pxx
-    holds = worst >= -1e-9
+    shape = (ch.nx1, ch.nx2)
+    inputs, margins = [], []
+    for chunk in _chunks(n_samples, math.prod(shape) * max(ch.ny1, ch.ny2)):
+        (pxx,) = _dirichlet(_substreams(seed, chunk), [(shape, 2)])
+        t_y1 = np.einsum("sxz,xm->sxzm", pxx, ch.k1)
+        t_y2 = np.einsum("sxz,xzn->sxzn", pxx, ch.k2_cube)
+        inputs.append(pxx)
+        margins.append(_cmi(t_y2, (0,), (2,), (1,)) - _cmi(t_y1, (0,), (2,), (1,)))
+    margin = np.concatenate(margins)
+    i = int(np.argmin(margin))
+    holds = bool(margin[i] >= -1e-9)
     return HighInterferenceReport(
         holds_on_samples=holds,
-        worst_margin=float(worst),
-        witness=None if holds else witness,
+        worst_margin=float(margin[i]),
+        witness=None if holds else np.concatenate(inputs)[i],
     )
-
-
-def _dirichlet_rows(rng: np.random.Generator, shape: tuple, block_ndim: int) -> np.ndarray:
-    """Sample a stochastic factor: Dirichlet(1) over each trailing block."""
-    if block_ndim == 0:
-        k = int(np.prod(shape))
-        return rng.dirichlet(np.ones(k)).reshape(shape)
-    rows = int(np.prod(shape[:-block_ndim]))
-    k = int(np.prod(shape[-block_ndim:]))
-    return rng.dirichlet(np.ones(k), size=rows).reshape(shape)
 
 
 def random_dist(
@@ -408,31 +508,18 @@ def random_dist(
     aux_sizes overrides the default auxiliary alphabet sizes (which mirror
     the driving input's alphabet; the cooperative u defaults to nx1*nx2).
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    mirror = {"u": ch.nx1, "a": ch.nx1, "b": ch.nx1, "x": ch.nx1, "v": ch.nx2, "z": ch.nx2,
-              "c": ch.nx1 * ch.nx2}
-    sizes = {_VARS[c]: mirror[c] for c in _JOINT_AXES[variant]}
-    for key, val in (aux_sizes or {}).items():
-        if key not in _AUX[variant]:
-            raise ValueError(f"variant {variant!r} has no auxiliary {key!r}")
-        if val < 1:
-            raise ValueError(f"auxiliary {key!r} size must be >= 1, got {val}")
-        sizes[key] = int(val)
+    sizes = _alphabet_sizes(variant, ch, aux_sizes)
     rng = rng if rng is not None else np.random.default_rng(0)
-    factors = {
-        name: _dirichlet_rows(rng, tuple(sizes[_VARS[c]] for c in axes), block)
-        for name, axes, block in _FACTORS[variant]
-    }
-    return FactoredDist(variant, factors)
+    factors = _sample_factors(variant, sizes, [rng])
+    return FactoredDist(variant, {name: f[0] for name, f in factors.items()})
 
 
 _EVALUATORS = {
-    "full": eval_region_R,
-    "r1": eval_region_R1,
-    "r2": eval_region_R2,
-    "r3": eval_region_R3,
-    "outer": eval_outer_co2_dmc,
+    "full": _full_bounds,
+    "r1": _r1_bounds,
+    "r2": _r2_bounds,
+    "r3": _r3_bounds,
+    "outer": _outer_bounds,
 }
 
 
@@ -446,30 +533,28 @@ def random_search_region(
 ) -> ConvexRegion:
     """Hull of the variant's pentagons over sampled input distributions.
 
-    Per-sample PRNG substreams are derived from (seed, sample index), so a
-    fixed seed gives a bit-identical region regardless of chunking.
+    Sample i is random_dist's draw from the PRNG substream (seed, i), so a
+    fixed seed gives a bit-identical region.  Samples are evaluated in
+    chunks along a leading sample axis, which changes no bit either.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    sizes = _alphabet_sizes(variant, ch, aux_sizes)
+    entries = _check_joint_entries(variant, sizes) * max(ch.ny1, ch.ny2)
     evaluate = _EVALUATORS[variant]
-    pentagons = []
-    n_empty = 0
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        pent = evaluate(random_dist(variant, ch, aux_sizes, rng), ch)
-        if pent.is_empty():
-            n_empty += 1
-        else:
-            pentagons.append(pent)
-    if not pentagons:
+    bounds = []
+    for chunk in _chunks(n_samples, entries):
+        factors = _sample_factors(variant, sizes, _substreams(seed, chunk))
+        for name, _, block in _FACTORS[variant]:
+            _check_stochastic(name, factors[name], block)
+        bounds.append(evaluate(_joints(variant, factors), ch))
+    r1, r2, s = (np.concatenate(b) for b in zip(*bounds))
+    if not np.any((r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)):
         raise ValueError(
             f"all {n_samples} sampled pentagons are EMPTY for variant {variant!r} "
             f"(seed {seed}); the first bound never came out nonnegative"
         )
-    return hull_of_union(
-        pentagons,
-        n_directions,
+    return hull_of_pentagon_arrays(
+        r1, r2, s, n_directions,
         provenance=f"{variant}-search(n={n_samples},seed={seed})",
     )

@@ -151,9 +151,11 @@ def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
         verts.append(((h0 * b - h * b0) / det, (a0 * h - a * h0) / det))
         stack.append((a, b, h))
     pts = np.clip(np.array(verts), 0.0, None)
+    xy = pts.tolist()
     keep = [0]
-    for i in range(1, len(pts)):
-        if np.max(np.abs(pts[i] - pts[keep[-1]])) > _BOUNDARY_TOL:
+    for i in range(1, len(xy)):
+        kx, ky = xy[keep[-1]]
+        if abs(xy[i][0] - kx) > _BOUNDARY_TOL or abs(xy[i][1] - ky) > _BOUNDARY_TOL:
             keep.append(i)
     return pts[keep]
 

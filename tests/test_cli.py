@@ -120,6 +120,17 @@ class TestExitCodes:
         assert code == 3
         assert "NaN or infinite" in capsys.readouterr().err
 
+    def test_bcdms_at_extreme_gain_admits_only_psd_splits(self, tmp_path):
+        # an absolute PSD slack of 1e-12 dwarfs p1*p2 = 1e-11 here and let
+        # non-PSD private splits reach a negative log argument
+        code = main(["region", "--p1", "1e-20", "--p2", "1e9", "--b", "1e6",
+                     "--select", "bcdms", "--output", str(tmp_path), *SMALL])
+        assert code == 0
+        (path,) = tmp_path.glob("bcdms_*.csv")
+        pts = read_csv(path)
+        assert len(pts) >= 2
+        assert np.all(np.isfinite(pts)) and np.all(pts >= 0.0)
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise FloatingPointError("synthetic numerical blowup")

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from cograte import dmc
 from cograte.dmc import (
+    VARIANTS,
     DmcChannel,
     FactoredDist,
     check_high_interference,
@@ -20,6 +22,7 @@ from cograte.dmc import (
     random_dist,
     random_search_region,
 )
+from cograte.geometry import hull_of_union
 
 
 def noiseless_pair():
@@ -487,3 +490,103 @@ class TestRandomSearch:
             random_search_region(ch, "r2", aux_sizes={"w1": 2}, n_samples=5, seed=0)
         with pytest.raises(ValueError, match="n_samples"):
             random_search_region(ch, "r2", n_samples=0, seed=0)
+
+
+EVALUATE = {
+    "full": eval_region_R,
+    "r1": eval_region_R1,
+    "r2": eval_region_R2,
+    "r3": eval_region_R3,
+    "outer": eval_outer_co2_dmc,
+}
+
+#: Trailing axes one distribution spans, per factor name.
+DIST_AXES = {"pu1": 1, "pv2": 1, "pw12": 2, "px1": 1, "px2": 1, "puv": 2, "puxx": 3}
+
+#: One override per auxiliary of each variant.
+AUX_OVERRIDES = {
+    "full": {"u1": 3, "v2": 2, "w1": 2, "w2": 1},
+    "r1": {"v2": 3, "w1": 1, "w2": 4},
+    "r2": {"u1": 4, "v2": 3},
+    "r3": {"u1": 3, "v2": 1},
+    "outer": {"u": 5},
+}
+
+
+def noisy_channel():
+    """nx1=2, nx2=3, every kernel entry positive."""
+    k2 = np.random.default_rng(3).dirichlet(np.ones(2), size=6).reshape(2, 3, 2)
+    return DmcChannel.from_kernels(bsc(0.1), k2)
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("overrides", [False, True], ids=["default", "aux"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_factors_are_numpy_dirichlet_rows(self, variant, overrides):
+        ch = noisy_channel()
+        aux = AUX_OVERRIDES[variant] if overrides else None
+        rng = np.random.default_rng(5)
+        dists = [random_dist(variant, ch, aux, rng=rng) for _ in range(3)]
+        ref = np.random.default_rng(5)
+        _, names, _ = HAND_FACTORIZATIONS[variant]
+        for d in dists:
+            assert all(d.sizes[k] == v for k, v in (aux or {}).items())
+            for name in names:
+                shape = d.factors[name].shape
+                k = math.prod(shape[len(shape) - DIST_AXES[name]:])
+                want = ref.dirichlet(np.ones(k), size=math.prod(shape) // k).reshape(shape)
+                assert np.array_equal(d.factors[name], want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("channel", [noisy_channel, noiseless_pair])
+    def test_search_is_the_hull_of_per_sample_pentagons(self, variant, channel):
+        ch = channel()
+        reg = random_search_region(ch, variant, n_samples=37, seed=4, n_directions=181)
+        pents = [
+            EVALUATE[variant](random_dist(variant, ch, rng=np.random.default_rng((4, i))), ch)
+            for i in range(37)
+        ]
+        want = hull_of_union([p for p in pents if not p.is_empty()], 181)
+        assert np.array_equal(reg.support, want.support)
+        assert np.array_equal(reg.boundary, want.boundary)
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chunking_changes_no_bit(self, variant, per_chunk, monkeypatch):
+        ch = noisy_channel()
+        aux = AUX_OVERRIDES[variant]
+        whole = random_search_region(ch, variant, aux, n_samples=37, seed=2,
+                                     n_directions=181)
+        joint_entries = random_dist(variant, ch, aux).joint().size
+        monkeypatch.setattr(dmc, "_CHUNK_ENTRIES",
+                            per_chunk * joint_entries * max(ch.ny1, ch.ny2))
+        cut = random_search_region(ch, variant, aux, n_samples=37, seed=2,
+                                   n_directions=181)
+        assert np.array_equal(whole.support, cut.support)
+        assert np.array_equal(whole.boundary, cut.boundary)
+
+    def test_oversized_joint_refused_before_sampling(self):
+        # the factors alone would need about 1e18 entries
+        with pytest.raises(ValueError, match="entries"):
+            random_search_region(noiseless_pair(), "full",
+                                 {"u1": 10**6, "w1": 10**6, "w2": 10**6}, n_samples=3)
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 7])
+    def test_high_interference_matches_a_per_sample_loop(self, per_chunk, monkeypatch):
+        # y2 sees x1 only through a strong flip, y1 sees it cleanly: refuted
+        k2 = np.stack([bsc(0.4), bsc(0.4), bsc(0.45)], axis=1)
+        ch = DmcChannel.from_kernels(bsc(0.05), k2)
+        if per_chunk is not None:
+            monkeypatch.setattr(dmc, "_CHUNK_ENTRIES", per_chunk * 6 * 2)
+        rep = check_high_interference(ch, n_samples=50, seed=8)
+        worst, witness = np.inf, None
+        for i in range(50):
+            pxx = np.random.default_rng((8, i)).dirichlet(np.ones(6)).reshape(2, 3)
+            t_y1 = np.einsum("xz,xm->xmz", pxx, ch.k1)
+            t_y2 = np.einsum("xz,xzn->xnz", pxx, ch.k2_cube)
+            margin = conditional_mi(t_y2) - conditional_mi(t_y1)
+            if margin < worst:
+                worst, witness = margin, pxx
+        assert not rep.holds_on_samples
+        assert rep.worst_margin == worst
+        assert np.array_equal(rep.witness, witness)
