@@ -37,7 +37,6 @@ from .gaussian import (
     g2_pentagon,
     g2_region,
     g3_pentagon,
-    g3_region_lambda_sweep,
     g3p_pentagon,
     g3p_region,
     g_region,
@@ -89,7 +88,6 @@ __all__ = [
     "g2_pentagon",
     "g2_region",
     "g3_pentagon",
-    "g3_region_lambda_sweep",
     "g3p_pentagon",
     "g3p_region",
     "g_region",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -57,8 +58,10 @@ TOL_CLAIM = 5e-3
 #: above the exact root.
 REGIME_TOL = 5e-5
 
-#: Most pentagons one region may evaluate: about 230 B of peak RSS each,
-#: so near 2 GB.  g at --points 201 (8,120,802) and every default fit.
+#: Most pentagons one region may evaluate.  g is evaluated and pruned in
+#: slabs, so for g this bounds work, not memory; bcdms still holds its
+#: whole grid, at about 230 B of peak RSS per pentagon.  g at --points 201
+#: (8,120,802) and every default fit.
 MAX_PENTAGONS = 2**23
 
 #: Figure presets: selections, interference gains, (p1, p2).
@@ -105,6 +108,8 @@ class RunConfig:
         for name, v in checked + [("b", g) for g in self.b_list]:
             if not np.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
+        for gain in (self.b, *self.b_list):
+            _check_received_power(self.p1, self.p2, gain)
         if self.n_points is not None and self.n_points < 2:
             raise ValueError("grids need at least 2 points")
         if self.n_cov < 2:
@@ -129,6 +134,18 @@ class RunConfig:
                     f"region {sel!r} would evaluate {count} pentagons, more than "
                     f"{MAX_PENTAGONS}; lower --points or --cov-points"
                 )
+
+
+def _check_received_power(p1: float, p2: float, b: float) -> None:
+    """Refuse gains and powers whose received powers overflow a float."""
+    b2 = b * b
+    amplitude = b * math.sqrt(p1) + math.sqrt(p2)
+    total = amplitude * amplitude + b2 * p1 + 1.0
+    if not all(math.isfinite(v) for v in (b2, b2 * p1, total)):
+        raise ValueError(
+            f"received power overflows at p1={p1:g}, p2={p2:g}, b={b:g}: b*b, "
+            f"b*b*p1 and (b*sqrt(p1) + sqrt(p2))**2 + b*b*p1 + 1 must be finite"
+        )
 
 
 def _points(sel: str, cfg: RunConfig) -> int:

@@ -16,17 +16,28 @@ convex hulls of those pentagons over the grid.  The families are:
 
 All parameters are power splits in [0, 1]; alpha divides the cognitive
 power between its own message (alpha) and relaying the primary's (1-alpha).
+``g`` and ``g1`` are evaluated in slabs of whole alpha rows, each pruned
+before the next is evaluated, so their memory is bounded by one slab.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_pentagon_arrays
+from .geometry import (
+    ConvexRegion,
+    DEFAULT_DIRECTIONS,
+    hull_of_pentagon_arrays,
+    undominated_pentagons,
+)
 from .model import ChannelParams, Pentagon
 
 #: Default number of grid points per sweep parameter.
 DEFAULT_GRID = 201
+
+#: Most pentagons one slab of the rate-splitting family holds: the family
+#: is evaluated and pruned slab by slab, so this bounds its memory.
+_SLAB_PENTAGONS = 2**16
 
 
 def _check_unit(name: str, value) -> np.ndarray:
@@ -224,27 +235,24 @@ def _unit_grid(n: int, name: str) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _ga_sweep_arrays(ch: ChannelParams, alphas, betas, thetas):
-    """ga bounds over the (alpha, beta, theta) grid, as flat arrays.
+def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
+    """ga and gb bounds over whole alpha rows, as (r1, r2, s) slabs of flat arrays.
 
-    theta is irrelevant once alpha reaches 1 (no relayed power), so the
-    alpha=1 slice is generated with a single theta to avoid duplicates.
+    A slab holds as many rows as fit in _SLAB_PENTAGONS (at least one).
+    theta is irrelevant once alpha reaches 1 (no relayed power), so an
+    alpha=1 row is generated with a single theta to avoid duplicates.
     """
-    full = alphas < 1.0
-    parts = []
-    if np.any(full):
-        a = alphas[full][:, None, None]
-        bt = betas[None, :, None]
-        th = thetas[None, None, :]
-        parts.append(tuple(np.broadcast_arrays(*_ga_arrays(ch, a, bt, th))))
-    if np.any(~full):
-        a = alphas[~full][:, None]
-        bt = betas[None, :]
-        parts.append(tuple(np.broadcast_arrays(*_ga_arrays(ch, a, bt, 0.0))))
-    r1 = np.concatenate([p[0].ravel() for p in parts])
-    r2 = np.concatenate([p[1].ravel() for p in parts])
-    s = np.concatenate([p[2].ravel() for p in parts])
-    return r1, r2, s
+    rows = max(1, _SLAB_PENTAGONS // (betas.size * (thetas.size + 1)))
+    for lo in range(0, alphas.size, rows):
+        a = alphas[lo:lo + rows]
+        parts = (
+            _ga_arrays(ch, a[a < 1.0][:, None, None], betas[None, :, None],
+                       thetas[None, None, :]),
+            _ga_arrays(ch, a[a == 1.0][:, None], betas[None, :], 0.0),
+            _gb_arrays(ch, a[:, None], betas[None, :]),
+        )
+        flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
+        yield tuple(np.concatenate(bounds) for bounds in zip(*flat))
 
 
 def g_region(
@@ -258,15 +266,8 @@ def g_region(
     alphas = _unit_grid(n_alpha, "alpha")
     betas = _unit_grid(n_beta, "beta")
     thetas = _unit_grid(n_theta, "theta")
-    r1a, r2a, sa = _ga_sweep_arrays(ch, alphas, betas, thetas)
-    r1b, r2b, sb = (
-        x.ravel()
-        for x in np.broadcast_arrays(*_gb_arrays(ch, alphas[:, None], betas[None, :]))
-    )
     return hull_of_pentagon_arrays(
-        np.concatenate([r1a, r1b]),
-        np.concatenate([r2a, r2b]),
-        np.concatenate([sa, sb]),
+        *undominated_pentagons(_rate_split_slabs(ch, alphas, betas, thetas)),
         n_directions,
         provenance=f"g(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
@@ -281,12 +282,8 @@ def g1_region(
     """Hull of the rate-splitting family without a common layer (beta = 0)."""
     alphas = _unit_grid(n_alpha, "alpha")
     thetas = _unit_grid(n_theta, "theta")
-    r1a, r2a, sa = _ga_sweep_arrays(ch, alphas, np.array([0.0]), thetas)
-    r1b, r2b, sb = (np.atleast_1d(x) for x in _gb_arrays(ch, alphas, 0.0))
     return hull_of_pentagon_arrays(
-        np.concatenate([r1a, r1b]),
-        np.concatenate([r2a, r2b]),
-        np.concatenate([sa, sb]),
+        *undominated_pentagons(_rate_split_slabs(ch, alphas, np.zeros(1), thetas)),
         n_directions,
         provenance=f"g1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
@@ -331,40 +328,4 @@ def capacity_region(
     return hull_of_pentagon_arrays(
         r1, r2, s, n_directions,
         provenance=f"capacity(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
-    )
-
-
-def g3_region_lambda_sweep(
-    ch: ChannelParams,
-    n_alpha: int = DEFAULT_GRID,
-    n_lambda: int = DEFAULT_GRID,
-    n_directions: int = DEFAULT_DIRECTIONS,
-) -> ConvexRegion:
-    """Exploratory hull of g3 over a truncated coefficient sweep.
-
-    The coefficient range is unbounded in principle; this sweep truncates it
-    to [0, 4*lambda_opt + 1] per alpha.  Regions used elsewhere are built
-    from the optimal coefficient only (``g3p_region``), which is what the
-    numerical comparisons call for; this sweep exists for exploration.
-    """
-    alphas = _unit_grid(n_alpha, "alpha")
-    if n_lambda < 2:
-        raise ValueError(f"lambda grid needs at least 2 points, got {n_lambda}")
-    parts_r1, parts_r2, parts_s = [], [], []
-    for a in alphas:
-        lam_hi = 4.0 * lambda_opt(ch, float(a)) + 1.0
-        lams = np.linspace(0.0, lam_hi, n_lambda)
-        # the sum bound does not depend on lam, so broadcast it out
-        r1, r2, s = np.broadcast_arrays(
-            *(np.atleast_1d(x) for x in _g3_arrays(ch, float(a), lams))
-        )
-        parts_r1.append(r1)
-        parts_r2.append(r2)
-        parts_s.append(s)
-    return hull_of_pentagon_arrays(
-        np.concatenate(parts_r1),
-        np.concatenate(parts_r2),
-        np.concatenate(parts_s),
-        n_directions,
-        provenance=f"g3sweep(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

@@ -5,7 +5,9 @@ arc: the convex hull of a union of pentagons has support equal to the
 pointwise max of the member supports, so unions over millions of pentagons
 reduce to running maxima per direction with O(1) memory per direction.
 Only pentagons with a top corner that no other corner beats are evaluated;
-the rest never attain the maximum, so the result is the same float.
+the rest never attain the maximum, so the result is the same float.  A large
+union arrives as slabs: each slab is pruned on its own, and only its
+survivors are kept while the next slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant,
 traced by one sorted-angle halfplane intersection.
@@ -96,18 +98,14 @@ def support_max_over_pentagons(
     collapse to dx*a + dy*b - m*max(a + b - c, 0), and the third can only
     bind when the sum constraint is active, so each chunk reduces to a few
     products plus an elementwise min.  Chunks of at most _CHUNK_CELLS
-    pentagon-direction cells bound temporary memory.
-
-    Pentagons without an undominated top corner are skipped first; the
-    result is the same float.
+    pentagon-direction cells bound temporary memory.  Every pentagon is
+    evaluated; hulls pass only those undominated_pentagons keeps.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
-    keep = _owns_undominated_corner(r1, r2, s)
-    r1, r2, s = r1[keep], r2[keep], s[keep]
     dx = dirs[:, 0][None, :]
     dy = dirs[:, 1][None, :]
     dmax = np.maximum(dx, dy)
@@ -220,6 +218,42 @@ def hull_of_union(
     return hull_of_pentagon_arrays(*bounds.T, n_directions, provenance)
 
 
+def undominated_pentagons(
+    slabs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds of the pentagons of a union that may attain its support.
+
+    The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
+    at a time.  Bounds must be finite, as in Pentagon; ValueError names the
+    count of NaN or infinite bounds over all slabs.  Each slab drops its
+    empty pentagons (any negative bound) and then the pentagons without a
+    top corner that no other corner of the slab beats; the survivors of all
+    slabs are returned concatenated.  Raises ValueError when no pentagon is
+    non-empty.  The maxima of a union are the maxima of the union of each
+    part's maxima, so pruning the result once more keeps the same pentagons
+    as one prune over the whole union.
+    """
+    bad = 0
+    kept = []
+    for r1, r2, s in slabs:
+        r1, r2, s = (np.asarray(v, dtype=float).ravel() for v in (r1, r2, s))
+        bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
+        if bad:
+            continue
+        # an empty pentagon has no support, but the kernel's closed form
+        # would give it one, so it must not survive the prune
+        live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
+        r1, r2, s = r1[live], r2[live], s[live]
+        own = _owns_undominated_corner(r1, r2, s)
+        kept.append((r1[own], r2[own], s[own]))
+    if bad:
+        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
+    if not any(r1.size for r1, _, _ in kept):
+        raise ValueError("all pentagons are empty; nothing to hull")
+    r1, r2, s = (np.concatenate(parts) for parts in zip(*kept))
+    return r1, r2, s
+
+
 def hull_of_pentagon_arrays(
     r1: np.ndarray,
     r2: np.ndarray,
@@ -229,22 +263,14 @@ def hull_of_pentagon_arrays(
 ) -> ConvexRegion:
     """Convex hull of a union of pentagons, sampled at n_directions directions.
 
-    Pentagon bounds come as flat arrays and must be finite, as in Pentagon;
-    ValueError names the count of NaN or infinite bounds.  Empty pentagons
-    (any negative bound) are skipped; raises ValueError when none survive.
-    The support at each direction is exactly the max of the member supports.
+    Pentagon bounds come as flat arrays and go through undominated_pentagons
+    as one slab, with its errors for NaN or infinite bounds and for a union
+    of empty pentagons.  The support at each direction is exactly the max
+    of the member supports.
     """
-    r1 = np.asarray(r1, dtype=float).ravel()
-    r2 = np.asarray(r2, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
-    if bad:
-        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
-    keep = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
-    if not np.any(keep):
-        raise ValueError("all pentagons are empty; nothing to hull")
+    r1, r2, s = undominated_pentagons([(r1, r2, s)])
     dirs = quadrant_directions(n_directions)
-    support = support_max_over_pentagons(r1[keep], r2[keep], s[keep], dirs)
+    support = support_max_over_pentagons(r1, r2, s, dirs)
     return ConvexRegion.from_support(dirs, support, provenance)
 
 

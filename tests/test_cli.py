@@ -90,7 +90,10 @@ class TestExitCodes:
         ["figure", "fig5", "--b", "nan"],
         ["compare", "--select", "g2,g3p", "--tol", "-1"],
         ["region", "--select", "g2", "--points", "100000000"],
-    ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid"])
+        ["region", "--p1", "1e-300", "--p2", "1e300", "--b", "1e200", "--select", "g2"],
+        ["figure", "fig5", "--b", "1e160"],
+    ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid",
+            "overflowing-gain", "overflowing-figure-gain"])
     def test_out_of_contract_input_is_usage_error(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         def built(*args, **kwargs):
@@ -110,12 +113,21 @@ class TestExitCodes:
             RunConfig(command="capacity-check", p1=6, p2=6, b=2,
                       n_points=cli.MAX_PENTAGONS + 1)
 
+    @pytest.mark.parametrize("p1, p2, b", [
+        (1e-300, 1e300, 1e200),  # b*b overflows
+        (1e300, 6.0, 1e10),      # b*b is finite, b*b*p1 is not
+        (1e307, 1.5e308, 1.0),   # b*b and b*b*p1 are finite, the total is not
+    ])
+    def test_overflowing_received_power_is_refused(self, p1, p2, b):
+        with pytest.raises(ValueError, match="received power overflows"):
+            RunConfig(command="region", p1=p1, p2=p2, b=b, selections=("g2",))
+
     def test_non_finite_pentagon_bound_exits_3(self, tmp_path, capsys):
-        # finite inputs whose sum bounds overflow to inf, and to NaN
-        # (inf * 0) at alpha=0; dropping that pentagon would shrink the region
+        # in-range inputs whose g3p bounds still overflow to inf and NaN
+        # (inf - inf); dropping those pentagons would shrink the region
         with np.errstate(all="ignore"):
-            code = main(["region", "--p1", "1e-300", "--p2", "1e300",
-                         "--b", "1e200", "--select", "g2",
+            code = main(["region", "--p1", "1e300", "--p2", "1e10",
+                         "--b", "0", "--select", "g3p",
                          "--output", str(tmp_path), *SMALL])
         assert code == 3
         assert "NaN or infinite" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Closed-form Gaussian rate families, the capacity region, and b_star."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from cograte.gaussian import (
     g2_pentagon,
     g2_region,
     g3_pentagon,
-    g3_region_lambda_sweep,
     g3p_pentagon,
     g3p_region,
+    g_region,
     ga_pentagon,
     gb_pentagon,
     lambda_opt,
 )
-from cograte.geometry import hull_of_union, subset_within
+from cograte import gaussian
+from cograte.geometry import hull_of_pentagon_arrays, hull_of_union, subset_within
 
 
 def hl2(x):
@@ -296,11 +298,70 @@ class TestRegionBuilders:
         assert pts[:, 1].max() == pytest.approx(hl2(7), abs=1e-9)
 
     def test_lambda_sweep_covers_g3p(self):
+        # g3 over a coefficient sweep truncated to [0, 4*lambda_opt + 1]
         ch = CH
-        sweep = g3_region_lambda_sweep(ch, n_alpha=51, n_lambda=51, n_directions=181)
+        alphas = np.linspace(0.0, 1.0, 51)
+        lam_hi = np.array([4.0 * lambda_opt(ch, a) + 1.0 for a in alphas])
+        lams = lam_hi[:, None] * np.linspace(0.0, 1.0, 51)[None, :]
+        bounds = np.broadcast_arrays(*gaussian._g3_arrays(ch, alphas[:, None], lams))
+        sweep = hull_of_pentagon_arrays(*(x.ravel() for x in bounds), n_directions=181)
         base = g3p_region(ch, n_alpha=51, n_directions=181)
         assert subset_within(base, sweep, tol=1e-3).is_subset
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             g3p_region(CH, n_alpha=1)
+
+
+def _every_rate_split_pentagon(ch, alphas, betas, thetas):
+    """All ga and gb bounds of a grid in one set of flat arrays (one theta at alpha=1)."""
+    full = alphas[alphas < 1.0]
+    parts = (
+        gaussian._ga_arrays(ch, full[:, None, None], betas[None, :, None],
+                            thetas[None, None, :]),
+        gaussian._ga_arrays(ch, alphas[alphas == 1.0][:, None], betas[None, :], 0.0),
+        gaussian._gb_arrays(ch, alphas[:, None], betas[None, :]),
+    )
+    flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
+    return [np.concatenate(bounds) for bounds in zip(*flat)]
+
+
+class TestRateSplitSlabs:
+    @pytest.mark.parametrize("p2", [6.0, 0.0])
+    @pytest.mark.parametrize("b", [1.0, 1.3628, 3.3628])
+    def test_slabs_match_the_one_shot_hull(self, b, p2, monkeypatch):
+        ch = ChannelParams(6.0, p2, b)
+        na, nb, nt = 23, 7, 9
+        alphas, betas, thetas = (np.linspace(0.0, 1.0, n) for n in (na, nb, nt))
+        slab_sizes = []
+
+        def recorded(slabs):
+            slabs = list(slabs)
+            slab_sizes.append([r1.size for r1, _, _ in slabs])
+            return undominated(slabs)
+
+        undominated = gaussian.undominated_pentagons
+        monkeypatch.setattr(gaussian, "undominated_pentagons", recorded)
+        # two alpha rows per slab: 12 slabs, the last one holding alpha=1 only
+        monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * nb * (nt + 1))
+        g = g_region(ch, na, nb, nt, 181)
+        monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * (nt + 1))
+        g1 = g1_region(ch, na, nt, 181)
+        assert len(slab_sizes) == 2
+        for sizes, rows in zip(slab_sizes, (nb, 1)):
+            assert sizes == [2 * rows * (nt + 1)] * 11 + [2 * rows]
+        for region, bt in ((g, betas), (g1, np.zeros(1))):
+            one_shot = hull_of_pentagon_arrays(
+                *_every_rate_split_pentagon(ch, alphas, bt, thetas), 181)
+            assert np.array_equal(region.support, one_shot.support)
+            assert np.array_equal(region.boundary, one_shot.boundary)
+
+    def test_default_g_slabs_bound_memory(self):
+        # the whole 101^3 family at once peaked near 200 MB
+        tracemalloc.start()
+        try:
+            g_region(ChannelParams(6.0, 6.0, 3.3628), 101, 101, 101, 721)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"

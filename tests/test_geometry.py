@@ -17,6 +17,7 @@ from cograte.geometry import (
     quadrant_directions,
     subset_within,
     support_max_over_pentagons,
+    undominated_pentagons,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -88,8 +89,8 @@ class TestPentagonSupport:
             )
         assert np.abs(fast - slow).max() <= 1e-13
 
-        # pruning must not change a single float: adversarial additions
-        # against the max over one-pentagon calls, which are never pruned
+        # pruning in the hull must not change a single float: adversarial
+        # additions against the max over one-pentagon kernel calls
         extra = np.array([
             (1.0, 1.0, 1.5), (1.0, 1.0, 1.5),            # duplicates
             (1.0 + 1e-10, 1.0, 1.5 + 1e-10),             # near-tie
@@ -105,7 +106,8 @@ class TestPentagonSupport:
                  for i in range(a.size)],
                 axis=0,
             )
-            assert np.array_equal(support_max_over_pentagons(a, b, c, dirs), single)
+            pruned = hull_of_pentagon_arrays(a, b, c, dirs.shape[0]).support
+            assert np.array_equal(pruned, single)
 
     def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self):
         # box pentagons (r1 + r2 <= s): both top corners are (r1, r2)
@@ -118,7 +120,7 @@ class TestPentagonSupport:
             assert mask.tolist() == [True, kept], corner
 
     def test_chunk_size_does_not_change_the_support(self, monkeypatch):
-        # box pentagons with corners on a quarter circle: none is pruned
+        # box pentagons with corners on a quarter circle: each one is a maximum
         t = np.linspace(0.0, np.pi / 2.0, 500)
         a, b, c = 3.0 * np.cos(t), 3.0 * np.sin(t), np.full(t.size, 10.0)
         dirs = quadrant_directions(181)
@@ -184,6 +186,40 @@ class TestHullOfUnion:
         pts = reg.boundary
         d = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         assert d.min() > 1e-9
+
+
+class TestUndominatedPentagons:
+    def test_empty_pentagon_does_not_prune_a_real_one(self):
+        # r1 < 0 makes it empty, though its other bounds dwarf the real one
+        slab = ([-1e-3, 1.0], [100.0, 1.0], [100.0, 1.5])
+        r1, r2, s = undominated_pentagons([slab])
+        assert (r1.tolist(), r2.tolist(), s.tolist()) == ([1.0], [1.0], [1.5])
+        reg = hull_of_pentagon_arrays(*slab)
+        assert np.array_equal(reg.support, _hull(Pentagon(1.0, 1.0, 1.5)).support)
+
+    def test_non_finite_bounds_are_counted_over_all_slabs(self):
+        slabs = [([1.0, np.nan], [1.0, 1.0], [1.5, 1.5]),
+                 ([1.0], [np.inf], [np.nan])]
+        with pytest.raises(ValueError, match="3 are NaN or infinite"):
+            undominated_pentagons(slabs)
+
+    def test_all_slabs_empty_rejected(self):
+        slabs = [([-1.0], [1.0], [1.0]), ([1.0], [-1.0], [1.0])]
+        with pytest.raises(ValueError, match="all pentagons are empty"):
+            undominated_pentagons(slabs)
+
+    def test_pruning_the_slab_survivors_again_matches_one_prune(self):
+        rng = np.random.default_rng(5)
+        r1, r2 = rng.uniform(0.0, 2.0, (2, 3000))
+        s = rng.uniform(0.5, 1.0, 3000) * (r1 + r2)
+        whole = undominated_pentagons([(r1, r2, s)])
+        cuts = [0, 7, 1000, 1001, 2500, 3000]
+        slabs = [(r1[a:b], r2[a:b], s[a:b]) for a, b in zip(cuts, cuts[1:])]
+        survivors = undominated_pentagons(slabs)
+        assert survivors[0].size > whole[0].size
+        again = undominated_pentagons([survivors])
+        for got, want in zip(again, whole):
+            assert np.array_equal(got, want)
 
 
 class TestHalfplaneEnvelope:
