@@ -7,8 +7,6 @@ standard comparison figures.
 """
 
 from .bounds import (
-    CovSplit,
-    bcdms_pentagon,
     bcdms_region,
     co1_pentagon,
     co1_region,
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelParams",
     "ConvexRegion",
-    "CovSplit",
     "DmcChannel",
     "FactoredDist",
     "Pentagon",
@@ -69,7 +66,6 @@ __all__ = [
     "SubsetReport",
     "b_condition",
     "b_star",
-    "bcdms_pentagon",
     "bcdms_region",
     "capacity_pentagon",
     "capacity_region",

@@ -59,9 +59,9 @@ TOL_CLAIM = 5e-3
 REGIME_TOL = 5e-5
 
 #: Most pentagons one region may evaluate.  g is evaluated and pruned in
-#: slabs, so for g this bounds work, not memory; bcdms still holds its
-#: whole grid, at about 230 B of peak RSS per pentagon.  g at --points 201
-#: (8,120,802) and every default fit.
+#: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
+#: grid, so this bounds work, not memory.  g at --points 201 (8,120,802)
+#: and every default fit.
 MAX_PENTAGONS = 2**23
 
 #: Figure presets: selections, interference gains, (p1, p2).
@@ -137,14 +137,24 @@ class RunConfig:
 
 
 def _check_received_power(p1: float, p2: float, b: float) -> None:
-    """Refuse gains and powers whose received powers overflow a float."""
+    """Refuse gains and powers for which a region family would overflow a float.
+
+    Past b*b, b*b*p1 and the received total, the largest products the
+    families form are own*relayed <= p1**2/4 (g3p), (1 + lam**2)*total <=
+    (1 + p1/4)*total (g3p, as lam**2 <= relayed/4) and (c_tot - c_priv)**2
+    <= 4*p1*p2 (bcdms; co1 takes sqrt(p1*p2)).  Since total >= p2 + 1,
+    8*(1 + p1)*max(p1, total) bounds each of them with a factor of at least
+    2 to spare for roundoff, so no family overflows when it is finite.
+    """
     b2 = b * b
     amplitude = b * math.sqrt(p1) + math.sqrt(p2)
     total = amplitude * amplitude + b2 * p1 + 1.0
-    if not all(math.isfinite(v) for v in (b2, b2 * p1, total)):
+    largest = 8.0 * (1.0 + p1) * max(p1, total)
+    if not all(math.isfinite(v) for v in (b2, b2 * p1, total, largest)):
         raise ValueError(
             f"received power overflows at p1={p1:g}, p2={p2:g}, b={b:g}: b*b, "
-            f"b*b*p1 and (b*sqrt(p1) + sqrt(p2))**2 + b*b*p1 + 1 must be finite"
+            f"b*b*p1, total = (b*sqrt(p1) + sqrt(p2))**2 + b*b*p1 + 1 and "
+            f"8*(1 + p1)*max(p1, total) must be finite"
         )
 
 

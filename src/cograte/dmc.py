@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_pentagon_arrays
+from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_slabs
 from .model import Pentagon
 
 _ROW_TOL = 1e-12
@@ -554,7 +554,7 @@ def random_search_region(
             f"all {n_samples} sampled pentagons are EMPTY for variant {variant!r} "
             f"(seed {seed}); the first bound never came out nonnegative"
         )
-    return hull_of_pentagon_arrays(
-        r1, r2, s, n_directions,
+    return hull_of_slabs(
+        [(r1, r2, s)], n_directions,
         provenance=f"{variant}-search(n={n_samples},seed={seed})",
     )

@@ -16,20 +16,16 @@ convex hulls of those pentagons over the grid.  The families are:
 
 All parameters are power splits in [0, 1]; alpha divides the cognitive
 power between its own message (alpha) and relaying the primary's (1-alpha).
-``g`` and ``g1`` are evaluated in slabs of whole alpha rows, each pruned
-before the next is evaluated, so their memory is bounded by one slab.
+Every family hands its bounds to ``geometry.hull_of_slabs``: the one-parameter
+families as one slab, ``g`` and ``g1`` as slabs of whole alpha rows, each
+pruned before the next is evaluated, so their memory is bounded by one slab.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (
-    ConvexRegion,
-    DEFAULT_DIRECTIONS,
-    hull_of_pentagon_arrays,
-    undominated_pentagons,
-)
+from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_slabs
 from .model import ChannelParams, Pentagon
 
 #: Default number of grid points per sweep parameter.
@@ -266,8 +262,8 @@ def g_region(
     alphas = _unit_grid(n_alpha, "alpha")
     betas = _unit_grid(n_beta, "beta")
     thetas = _unit_grid(n_theta, "theta")
-    return hull_of_pentagon_arrays(
-        *undominated_pentagons(_rate_split_slabs(ch, alphas, betas, thetas)),
+    return hull_of_slabs(
+        _rate_split_slabs(ch, alphas, betas, thetas),
         n_directions,
         provenance=f"g(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
@@ -282,8 +278,8 @@ def g1_region(
     """Hull of the rate-splitting family without a common layer (beta = 0)."""
     alphas = _unit_grid(n_alpha, "alpha")
     thetas = _unit_grid(n_theta, "theta")
-    return hull_of_pentagon_arrays(
-        *undominated_pentagons(_rate_split_slabs(ch, alphas, np.zeros(1), thetas)),
+    return hull_of_slabs(
+        _rate_split_slabs(ch, alphas, np.zeros(1), thetas),
         n_directions,
         provenance=f"g1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
@@ -296,9 +292,8 @@ def g2_region(
 ) -> ConvexRegion:
     """Hull of the superposition-only family."""
     alphas = _unit_grid(n_alpha, "alpha")
-    r1, r2, s = _g2_arrays(ch, alphas)
-    return hull_of_pentagon_arrays(
-        r1, r2, s, n_directions,
+    return hull_of_slabs(
+        [_g2_arrays(ch, alphas)], n_directions,
         provenance=f"g2(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -310,9 +305,8 @@ def g3p_region(
 ) -> ConvexRegion:
     """Hull of the precoded-common-message family at the optimal coefficient."""
     alphas = _unit_grid(n_alpha, "alpha")
-    r1, r2, s = _g3p_arrays(ch, alphas)
-    return hull_of_pentagon_arrays(
-        r1, r2, s, n_directions,
+    return hull_of_slabs(
+        [_g3p_arrays(ch, alphas)], n_directions,
         provenance=f"g3p(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -324,8 +318,7 @@ def capacity_region(
 ) -> ConvexRegion:
     """Hull of the two-constraint capacity pentagons over alpha."""
     alphas = _unit_grid(n_alpha, "alpha")
-    r1, r2, s = _capacity_arrays(ch, alphas)
-    return hull_of_pentagon_arrays(
-        r1, r2, s, n_directions,
+    return hull_of_slabs(
+        [_capacity_arrays(ch, alphas)], n_directions,
         provenance=f"capacity(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

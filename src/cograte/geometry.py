@@ -5,9 +5,10 @@ arc: the convex hull of a union of pentagons has support equal to the
 pointwise max of the member supports, so unions over millions of pentagons
 reduce to running maxima per direction with O(1) memory per direction.
 Only pentagons with a top corner that no other corner beats are evaluated;
-the rest never attain the maximum, so the result is the same float.  A large
-union arrives as slabs: each slab is pruned on its own, and only its
-survivors are kept while the next slab is evaluated.
+the rest never attain the maximum, so the result is the same float.  Every
+hull is built by hull_of_slabs, which takes a union as slabs: each slab is
+pruned on its own, and only its survivors are kept while the next slab is
+evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant,
 traced by one sorted-angle halfplane intersection.
@@ -99,7 +100,7 @@ def support_max_over_pentagons(
     bind when the sum constraint is active, so each chunk reduces to a few
     products plus an elementwise min.  Chunks of at most _CHUNK_CELLS
     pentagon-direction cells bound temporary memory.  Every pentagon is
-    evaluated; hulls pass only those undominated_pentagons keeps.
+    evaluated; hull_of_slabs passes only those its prune keeps.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
@@ -202,36 +203,37 @@ class ConvexRegion:
         x = (pt.r1, pt.r2) if isinstance(pt, RatePair) else (float(pt[0]), float(pt[1]))
         return bool(np.all(self.directions @ np.asarray(x) <= self.support + tol))
 
-    def boundary_points(self) -> list[RatePair]:
-        return [RatePair(float(x), float(y)) for x, y in self.boundary]
-
 
 def hull_of_union(
     pentagons: Iterable[Pentagon],
     n_directions: int = DEFAULT_DIRECTIONS,
     provenance: str = "",
 ) -> ConvexRegion:
-    """hull_of_pentagon_arrays over the bounds of Pentagon objects."""
+    """hull_of_slabs over the bounds of Pentagon objects, as one slab."""
     bounds = np.array(
         [(p.r1_max, p.r2_max, p.sum_max) for p in pentagons], dtype=float
     ).reshape(-1, 3)
-    return hull_of_pentagon_arrays(*bounds.T, n_directions, provenance)
+    return hull_of_slabs([bounds.T], n_directions, provenance)
 
 
-def undominated_pentagons(
+def hull_of_slabs(
     slabs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds of the pentagons of a union that may attain its support.
+    n_directions: int = DEFAULT_DIRECTIONS,
+    provenance: str = "",
+) -> ConvexRegion:
+    """Convex hull of a union of pentagons, sampled at n_directions directions.
 
     The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
     at a time.  Bounds must be finite, as in Pentagon; ValueError names the
     count of NaN or infinite bounds over all slabs.  Each slab drops its
     empty pentagons (any negative bound) and then the pentagons without a
-    top corner that no other corner of the slab beats; the survivors of all
-    slabs are returned concatenated.  Raises ValueError when no pentagon is
-    non-empty.  The maxima of a union are the maxima of the union of each
-    part's maxima, so pruning the result once more keeps the same pentagons
-    as one prune over the whole union.
+    top corner that no other corner of the slab beats, so only its
+    survivors are held while the next slab is evaluated.  Raises ValueError
+    when no pentagon is non-empty.  The maxima of a union are the maxima of
+    the union of each part's maxima, so when more than one slab contributed,
+    one more prune over the survivors keeps the same pentagons as one prune
+    over the whole union.  The support at each direction is exactly the max
+    of the member supports.
     """
     bad = 0
     kept = []
@@ -245,30 +247,16 @@ def undominated_pentagons(
         live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
         r1, r2, s = r1[live], r2[live], s[live]
         own = _owns_undominated_corner(r1, r2, s)
-        kept.append((r1[own], r2[own], s[own]))
+        if np.any(own):
+            kept.append((r1[own], r2[own], s[own]))
     if bad:
         raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
-    if not any(r1.size for r1, _, _ in kept):
+    if not kept:
         raise ValueError("all pentagons are empty; nothing to hull")
     r1, r2, s = (np.concatenate(parts) for parts in zip(*kept))
-    return r1, r2, s
-
-
-def hull_of_pentagon_arrays(
-    r1: np.ndarray,
-    r2: np.ndarray,
-    s: np.ndarray,
-    n_directions: int = DEFAULT_DIRECTIONS,
-    provenance: str = "",
-) -> ConvexRegion:
-    """Convex hull of a union of pentagons, sampled at n_directions directions.
-
-    Pentagon bounds come as flat arrays and go through undominated_pentagons
-    as one slab, with its errors for NaN or infinite bounds and for a union
-    of empty pentagons.  The support at each direction is exactly the max
-    of the member supports.
-    """
-    r1, r2, s = undominated_pentagons([(r1, r2, s)])
+    if len(kept) > 1:
+        own = _owns_undominated_corner(r1, r2, s)
+        r1, r2, s = r1[own], r2[own], s[own]
     dirs = quadrant_directions(n_directions)
     support = support_max_over_pentagons(r1, r2, s, dirs)
     return ConvexRegion.from_support(dirs, support, provenance)

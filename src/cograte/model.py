@@ -1,18 +1,13 @@
 """Core value types shared by every other module.
 
 All rates are in bits per channel use (log base 2).  Comparisons are always
-parameterized by explicit tolerances; the default below is 1e-9 bits for
-algebraic identities.
+parameterized by explicit tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-#: Default tolerance for algebraic identities (bits).
-TOL_ALGEBRAIC = 1e-9
-
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -40,11 +35,6 @@ class ChannelParams:
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
             object.__setattr__(self, name, value)
-
-    @property
-    def high_interference(self) -> bool:
-        """True in the high-interference regime (b >= 1)."""
-        return self.b >= 1.0
 
 
 @dataclass(frozen=True)

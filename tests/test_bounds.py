@@ -2,21 +2,16 @@
 degraded-message-set region, and their intersection."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from cograte.model import ChannelParams, RatePair
-from cograte.bounds import (
-    CovSplit,
-    bcdms_pentagon,
-    bcdms_region,
-    co1_pentagon,
-    co1_region,
-    co2_region,
-)
-from cograte.geometry import directed_gap, subset_within
+from cograte import bounds
+from cograte.bounds import bcdms_region, co1_pentagon, co1_region, co2_region
+from cograte.geometry import directed_gap, hull_of_slabs, subset_within
 
 
 def hl2(x):
@@ -90,28 +85,6 @@ class TestCo1Region:
         assert reg.boundary[:, 1].max() == pytest.approx(hl2(7), abs=1e-9)
 
 
-class TestCovSplit:
-    def test_valid_split(self):
-        s = CovSplit(c_tot=3.0, p1_priv=2.0, p2_priv=2.0, c_priv=2.0)
-        assert s.feasible(ChannelParams(6, 6, 1.5))
-
-    def test_total_correlation_bounded(self):
-        s = CovSplit(c_tot=7.0, p1_priv=0.0, p2_priv=0.0, c_priv=0.0)
-        assert not s.feasible(ChannelParams(6, 6, 1.5))
-
-    def test_common_part_must_be_psd(self):
-        s = CovSplit(c_tot=-6.0, p1_priv=6.0, p2_priv=6.0, c_priv=6.0)
-        assert not s.feasible(ChannelParams(6, 6, 1.5))
-
-    def test_private_psd_enforced_at_construction(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            CovSplit(c_tot=0.0, p1_priv=1.0, p2_priv=1.0, c_priv=1.5)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            CovSplit(c_tot=0.0, p1_priv=-1.0, p2_priv=1.0, c_priv=0.0)
-
-
 class TestBcdmsRegion:
     def test_scalar_channel_corners(self):
         reg = bcdms_region(CH_SCALAR, n_grid=41, n_directions=181)
@@ -151,21 +124,72 @@ class TestBcdmsRegion:
         assert np.isfinite(reg.support).all()
 
     def test_infeasible_split_rejected(self):
-        split = CovSplit(c_tot=0.0, p1_priv=7.0, p2_priv=0.0, c_priv=0.0)
-        with pytest.raises(ValueError, match="infeasible"):
-            bcdms_pentagon(ChannelParams(6, 6, 1.5), split)
+        # grid {0, 6} per power and {-6, 6} per covariance: a full-magnitude
+        # covariance needs both private powers at 6 and c_priv = c_tot, so
+        # p1_priv = 0 has no feasible split and yields no pentagon
+        b = 1.5
+        slabs = list(bounds._bcdms_slabs(ChannelParams(6, 6, b), n_grid=2))
+        assert len(slabs) == 2
+        for (r1, r2, s), ct in zip(slabs, (-6.0, 6.0)):
+            assert r1.tolist() == [0.0]
+            assert r2.tolist() == [hl2(1 + 6 * b * b + 2 * b * ct + 6)]
+            assert s.tolist() == [hl2(1 + 6 * b * b + 2 * b * ct + 6)]
 
     def test_pentagon_formulas_on_scalar_channel(self):
-        ch = CH_SCALAR
-        silent = CovSplit(c_tot=0.0, p1_priv=0.0, p2_priv=0.0, c_priv=0.0)
-        p = bcdms_pentagon(ch, silent)
-        assert p.r1_max == pytest.approx(hl2(7), abs=1e-12)
-        assert p.r2_max == pytest.approx(0.0, abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(25), abs=1e-12)
-        full = CovSplit(c_tot=0.0, p1_priv=6.0, p2_priv=0.0, c_priv=0.0)
-        q = bcdms_pentagon(ch, full)
-        assert q.r1_max == pytest.approx(0.0, abs=1e-12)
-        assert q.r2_max == pytest.approx(hl2(25), abs=1e-12)
+        # P2 = 0 leaves one split per p1_priv, so the one slab is the grid
+        (slab,) = bounds._bcdms_slabs(CH_SCALAR, n_grid=41)
+        r1, r2, s = (x.tolist() for x in slab)
+        assert len(r1) == len(r2) == len(s) == 41
+        silent, full = (r1[0], r2[0], s[0]), (r1[-1], r2[-1], s[-1])
+        assert silent == pytest.approx((hl2(7), 0.0, hl2(25)), abs=1e-12)
+        assert full == pytest.approx((0.0, hl2(25), hl2(25)), abs=1e-12)
+
+    def test_default_grid_memory(self):
+        # the masked 41^4 grid and its concatenated bounds peaked near 82 MB
+        tracemalloc.start()
+        try:
+            bcdms_region(ChannelParams(6.0, 6.0, 3.3628))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _every_feasible_split(ch, n_grid):
+    """Bounds of every PSD-feasible split of the 4-D (c_tot, p1_priv,
+    p2_priv, c_priv) grid, as one slab of flat arrays."""
+    p1, p2, b = ch.p1, ch.p2, ch.b
+    c_max = math.sqrt(p1 * p2)
+    ct, a, d, c = np.meshgrid(
+        np.unique(np.linspace(-c_max, c_max, n_grid)),
+        np.unique(np.linspace(0.0, p1, n_grid)),
+        np.unique(np.linspace(0.0, p2, n_grid)),
+        np.unique(np.linspace(-c_max, c_max, n_grid)),
+        indexing="ij", sparse=True,
+    )
+    tol = 1e-12 * p1 * p2
+    ok = (c * c <= a * d + tol) & ((ct - c) ** 2 <= (p1 - a) * (p2 - d) + tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grids = np.broadcast_arrays(
+            0.5 * np.log2((p1 + 1.0) / (a + 1.0)),
+            0.5 * np.log2(1.0 + b * b * a + 2.0 * b * c + d),
+            0.5 * np.log2(1.0 + b * b * p1 + 2.0 * b * ct + p2),
+        )
+    return [g[ok] for g in grids]
+
+
+class TestBcdmsMaximalPentagons:
+    @pytest.mark.parametrize("n_grid", [5, 11, 41])
+    @pytest.mark.parametrize("p1, p2, b", [
+        (6, 6, 3.3628), (6, 6, 1.3628), (10, 3, 2), (6, 0, 2), (1e-20, 1e9, 1e6),
+    ])
+    def test_matches_the_hull_of_every_feasible_split(self, p1, p2, b, n_grid):
+        ch = ChannelParams(p1, p2, b)
+        reg = bcdms_region(ch, n_grid, 181)
+        ref = hull_of_slabs([_every_feasible_split(ch, n_grid)], 181)
+        assert np.abs(reg.support - ref.support).max() <= 2e-15
+        assert reg.boundary.shape == ref.boundary.shape
+        assert np.abs(reg.boundary - ref.boundary).max() <= 1e-12
 
 
 class TestCo2Region:
@@ -174,7 +198,7 @@ class TestCo2Region:
         co2 = co2_region(ch, n_rho=101, n_grid=21, n_directions=181)
         c1 = co1_region(ch, n_rho=101, n_directions=181)
         bc = bcdms_region(ch, n_grid=21, n_directions=181)
-        for pt in co2.boundary_points():
+        for pt in co2.boundary.tolist():
             assert c1.contains(pt, tol=1e-9)
             assert bc.contains(pt, tol=1e-9)
 

@@ -4,12 +4,13 @@ import json
 import math
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cograte import cli
+from cograte import cli, gaussian
 from cograte.cli import RunConfig, main
 from cograte.model import ChannelParams
 from cograte.gaussian import g_region
@@ -92,8 +93,13 @@ class TestExitCodes:
         ["region", "--select", "g2", "--points", "100000000"],
         ["region", "--p1", "1e-300", "--p2", "1e300", "--b", "1e200", "--select", "g2"],
         ["figure", "fig5", "--b", "1e160"],
+        ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "g3p"],
+        ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "co1"],
+        ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "bcdms"],
+        ["region", "--p1", "1e200", "--p2", "0", "--b", "0", "--select", "g3p"],
     ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid",
-            "overflowing-gain", "overflowing-figure-gain"])
+            "overflowing-gain", "overflowing-figure-gain", "g3p-lambda-total",
+            "co1-power-product", "bcdms-power-product", "g3p-own-relayed"])
     def test_out_of_contract_input_is_usage_error(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         def built(*args, **kwargs):
@@ -117,20 +123,66 @@ class TestExitCodes:
         (1e-300, 1e300, 1e200),  # b*b overflows
         (1e300, 6.0, 1e10),      # b*b is finite, b*b*p1 is not
         (1e307, 1.5e308, 1.0),   # b*b and b*b*p1 are finite, the total is not
+        (1e200, 0.0, 0.0),       # the total is finite, g3p's own*relayed is not
+        (0.25, 1.78e308, 0.0),   # 4*p1*total is finite, g3p's (1 + lam**2)*total is not
     ])
     def test_overflowing_received_power_is_refused(self, p1, p2, b):
         with pytest.raises(ValueError, match="received power overflows"):
             RunConfig(command="region", p1=p1, p2=p2, b=b, selections=("g2",))
 
-    def test_non_finite_pentagon_bound_exits_3(self, tmp_path, capsys):
-        # in-range inputs whose g3p bounds still overflow to inf and NaN
-        # (inf - inf); dropping those pentagons would shrink the region
-        with np.errstate(all="ignore"):
-            code = main(["region", "--p1", "1e300", "--p2", "1e10",
-                         "--b", "0", "--select", "g3p",
-                         "--output", str(tmp_path), *SMALL])
+    @pytest.mark.parametrize("vary, fixed", [
+        ("p1", {"p2": 1e10, "b": 0.0}),    # g3p's own*relayed, about p1**2/4
+        ("p2", {"p1": 0.25, "b": 0.0}),    # g3p's (1 + lam**2)*total
+        ("p1", {"p2": 1e153, "b": 0.0}),   # bcdms' (c_tot - c_priv)**2 <= 4*p1*p2
+    ])
+    def test_every_family_is_finite_at_the_largest_admitted_input(
+            self, vary, fixed, tmp_path, capsys):
+        def admitted(x):
+            try:
+                RunConfig(command="region", selections=("g2",), **fixed, **{vary: x})
+            except ValueError:
+                return False
+            return True
+
+        def as_float(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        # bisect on the bit patterns, which order nonnegative floats
+        lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(as_float(mid)) else (lo, mid)
+        def run(x):
+            edge = {**fixed, vary: x}
+            return main(["region", "--select", ",".join(cli.SELECTIONS),
+                         "--points", "5", "--cov-points", "5", "--directions", "31",
+                         "--output", str(tmp_path),
+                         *(f"--{k}={v!r}" for k, v in edge.items())])
+
+        assert run(as_float(lo)) == 0, capsys.readouterr().err
+        for path in capsys.readouterr().out.split():
+            assert np.all(np.isfinite(read_csv(path)))
+        # one float further the received total is still finite, so the
+        # refusal comes from the products the families form
+        refused = {**fixed, vary: as_float(hi)}
+        amplitude = refused["b"] * math.sqrt(refused["p1"]) + math.sqrt(refused["p2"])
+        assert math.isfinite(amplitude ** 2 + refused["b"] ** 2 * refused["p1"] + 1.0)
+        assert run(as_float(hi)) == 2
+        assert "received power overflows" in capsys.readouterr().err
+
+    def test_non_finite_pentagon_bound_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a family whose bounds come out NaN; dropping those pentagons
+        # would shrink the region, so the run fails
+        def nan_bounds(ch, alpha):
+            r1, r2, s = g3p_arrays(ch, alpha)
+            return r1, np.where(alpha > 0.5, np.nan, r2), s
+
+        g3p_arrays = gaussian._g3p_arrays
+        monkeypatch.setattr(gaussian, "_g3p_arrays", nan_bounds)
+        code = main(["region", "--p1", "6", "--p2", "6", "--b", "2",
+                     "--select", "g3p", "--output", str(tmp_path), *SMALL])
         assert code == 3
-        assert "NaN or infinite" in capsys.readouterr().err
+        assert "15 are NaN or infinite" in capsys.readouterr().err
 
     def test_bcdms_at_extreme_gain_admits_only_psd_splits(self, tmp_path):
         # an absolute PSD slack of 1e-12 dwarfs p1*p2 = 1e-11 here and let

@@ -25,7 +25,7 @@ from cograte.gaussian import (
     lambda_opt,
 )
 from cograte import gaussian
-from cograte.geometry import hull_of_pentagon_arrays, hull_of_union, subset_within
+from cograte.geometry import hull_of_slabs, hull_of_union, subset_within
 
 
 def hl2(x):
@@ -304,7 +304,7 @@ class TestRegionBuilders:
         lam_hi = np.array([4.0 * lambda_opt(ch, a) + 1.0 for a in alphas])
         lams = lam_hi[:, None] * np.linspace(0.0, 1.0, 51)[None, :]
         bounds = np.broadcast_arrays(*gaussian._g3_arrays(ch, alphas[:, None], lams))
-        sweep = hull_of_pentagon_arrays(*(x.ravel() for x in bounds), n_directions=181)
+        sweep = hull_of_slabs([bounds], n_directions=181)
         base = g3p_region(ch, n_alpha=51, n_directions=181)
         assert subset_within(base, sweep, tol=1e-3).is_subset
 
@@ -335,13 +335,13 @@ class TestRateSplitSlabs:
         alphas, betas, thetas = (np.linspace(0.0, 1.0, n) for n in (na, nb, nt))
         slab_sizes = []
 
-        def recorded(slabs):
+        def recorded(slabs, *args, **kwargs):
             slabs = list(slabs)
             slab_sizes.append([r1.size for r1, _, _ in slabs])
-            return undominated(slabs)
+            return hull(slabs, *args, **kwargs)
 
-        undominated = gaussian.undominated_pentagons
-        monkeypatch.setattr(gaussian, "undominated_pentagons", recorded)
+        hull = gaussian.hull_of_slabs
+        monkeypatch.setattr(gaussian, "hull_of_slabs", recorded)
         # two alpha rows per slab: 12 slabs, the last one holding alpha=1 only
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * nb * (nt + 1))
         g = g_region(ch, na, nb, nt, 181)
@@ -351,8 +351,8 @@ class TestRateSplitSlabs:
         for sizes, rows in zip(slab_sizes, (nb, 1)):
             assert sizes == [2 * rows * (nt + 1)] * 11 + [2 * rows]
         for region, bt in ((g, betas), (g1, np.zeros(1))):
-            one_shot = hull_of_pentagon_arrays(
-                *_every_rate_split_pentagon(ch, alphas, bt, thetas), 181)
+            one_shot = hull_of_slabs(
+                [_every_rate_split_pentagon(ch, alphas, bt, thetas)], 181)
             assert np.array_equal(region.support, one_shot.support)
             assert np.array_equal(region.boundary, one_shot.boundary)
 

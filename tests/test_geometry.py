@@ -10,14 +10,13 @@ from cograte import geometry
 from cograte.geometry import (
     ConvexRegion,
     directed_gap,
-    hull_of_pentagon_arrays,
+    hull_of_slabs,
     hull_of_union,
     intersect,
     pentagon_support,
     quadrant_directions,
     subset_within,
     support_max_over_pentagons,
-    undominated_pentagons,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -106,7 +105,7 @@ class TestPentagonSupport:
                  for i in range(a.size)],
                 axis=0,
             )
-            pruned = hull_of_pentagon_arrays(a, b, c, dirs.shape[0]).support
+            pruned = hull_of_slabs([(a, b, c)], dirs.shape[0]).support
             assert np.array_equal(pruned, single)
 
     def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self):
@@ -132,7 +131,7 @@ class TestPentagonSupport:
 class TestHullOfUnion:
     def test_single_pentagon_boundary_vertices(self):
         reg = _hull(Pentagon(1, 1, 1.5))
-        got = {(round(p.r1, 6), round(p.r2, 6)) for p in reg.boundary_points()}
+        got = {(round(x, 6), round(y, 6)) for x, y in reg.boundary.tolist()}
         assert got == {(1.0, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 1.0)}
 
     def test_time_sharing_point_is_inside(self):
@@ -155,8 +154,7 @@ class TestHullOfUnion:
 
     def test_non_finite_bounds_rejected(self):
         with pytest.raises(ValueError, match="2 are NaN or infinite"):
-            hull_of_pentagon_arrays([1.0, np.nan, 1.0], [1.0, 1.0, 1.0],
-                                    [1.5, 1.5, np.inf])
+            hull_of_slabs([([1.0, np.nan, 1.0], [1.0, 1.0, 1.0], [1.5, 1.5, np.inf])])
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -188,38 +186,78 @@ class TestHullOfUnion:
         assert d.min() > 1e-9
 
 
+def _kernel_input(monkeypatch, slabs, n_directions=181):
+    """hull_of_slabs over slabs, and the bounds its prune passes to the kernel."""
+    seen = []
+
+    def recorded(r1, r2, s, dirs):
+        seen.append((r1.tolist(), r2.tolist(), s.tolist()))
+        return support_max_over_pentagons(r1, r2, s, dirs)
+
+    monkeypatch.setattr(geometry, "support_max_over_pentagons", recorded)
+    reg = hull_of_slabs(slabs, n_directions)
+    (bounds,) = seen
+    return reg, bounds
+
+
 class TestUndominatedPentagons:
-    def test_empty_pentagon_does_not_prune_a_real_one(self):
+    def test_empty_pentagon_does_not_prune_a_real_one(self, monkeypatch):
         # r1 < 0 makes it empty, though its other bounds dwarf the real one
         slab = ([-1e-3, 1.0], [100.0, 1.0], [100.0, 1.5])
-        r1, r2, s = undominated_pentagons([slab])
-        assert (r1.tolist(), r2.tolist(), s.tolist()) == ([1.0], [1.0], [1.5])
-        reg = hull_of_pentagon_arrays(*slab)
-        assert np.array_equal(reg.support, _hull(Pentagon(1.0, 1.0, 1.5)).support)
+        reg, bounds = _kernel_input(monkeypatch, [slab])
+        assert bounds == ([1.0], [1.0], [1.5])
+        assert np.array_equal(reg.support, _hull(Pentagon(1.0, 1.0, 1.5), n=181).support)
 
     def test_non_finite_bounds_are_counted_over_all_slabs(self):
         slabs = [([1.0, np.nan], [1.0, 1.0], [1.5, 1.5]),
                  ([1.0], [np.inf], [np.nan])]
         with pytest.raises(ValueError, match="3 are NaN or infinite"):
-            undominated_pentagons(slabs)
+            hull_of_slabs(slabs)
 
     def test_all_slabs_empty_rejected(self):
         slabs = [([-1.0], [1.0], [1.0]), ([1.0], [-1.0], [1.0])]
         with pytest.raises(ValueError, match="all pentagons are empty"):
-            undominated_pentagons(slabs)
+            hull_of_slabs(slabs)
 
-    def test_pruning_the_slab_survivors_again_matches_one_prune(self):
+    def test_pruning_the_slab_survivors_again_matches_one_prune(self, monkeypatch):
         rng = np.random.default_rng(5)
         r1, r2 = rng.uniform(0.0, 2.0, (2, 3000))
         s = rng.uniform(0.5, 1.0, 3000) * (r1 + r2)
-        whole = undominated_pentagons([(r1, r2, s)])
+        whole, whole_bounds = _kernel_input(monkeypatch, [(r1, r2, s)])
         cuts = [0, 7, 1000, 1001, 2500, 3000]
         slabs = [(r1[a:b], r2[a:b], s[a:b]) for a, b in zip(cuts, cuts[1:])]
-        survivors = undominated_pentagons(slabs)
-        assert survivors[0].size > whole[0].size
-        again = undominated_pentagons([survivors])
-        for got, want in zip(again, whole):
-            assert np.array_equal(got, want)
+        survivors = [geometry._owns_undominated_corner(*slab).sum() for slab in slabs]
+        assert sum(survivors) > len(whole_bounds[0])
+        pieces, piece_bounds = _kernel_input(monkeypatch, slabs)
+        assert piece_bounds == whole_bounds
+        assert np.array_equal(pieces.support, whole.support)
+        assert np.array_equal(pieces.boundary, whole.boundary)
+
+    def test_size_zero_slabs_contribute_nothing(self, monkeypatch):
+        slab = ([1.0, 0.5], [0.5, 1.0], [1.2, 1.2])
+        zero = ([], [], [])
+        one, one_bounds = _kernel_input(monkeypatch, [slab])
+        mixed, mixed_bounds = _kernel_input(monkeypatch, [zero, slab, zero])
+        assert mixed_bounds == one_bounds
+        assert np.array_equal(mixed.support, one.support)
+        with pytest.raises(ValueError, match="all pentagons are empty"):
+            hull_of_slabs([zero, zero])
+
+    def test_one_shot_generator_is_consumed_once(self):
+        rng = np.random.default_rng(9)
+        r1, r2 = rng.uniform(0.0, 2.0, (2, 300))
+        s = rng.uniform(0.5, 1.0, 300) * (r1 + r2)
+        slabs = [(r1[a:a + 50], r2[a:a + 50], s[a:a + 50]) for a in range(0, 300, 50)]
+        taken = []
+
+        def generate():
+            for slab in slabs:
+                taken.append(len(slab[0]))
+                yield slab
+
+        reg = hull_of_slabs(generate(), 181)
+        assert taken == [50] * 6
+        assert np.array_equal(reg.support, hull_of_slabs([(r1, r2, s)], 181).support)
 
 
 class TestHalfplaneEnvelope:
@@ -260,7 +298,7 @@ class TestRegionContains:
 
     def test_boundary_vertices_contained(self):
         reg = _hull(Pentagon(1, 1, 1.5))
-        for pt in reg.boundary_points():
+        for pt in reg.boundary.tolist():
             assert reg.contains(pt, tol=1e-9)
 
 
