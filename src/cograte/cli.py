@@ -64,6 +64,10 @@ REGIME_TOL = 5e-5
 #: and every default fit.
 MAX_PENTAGONS = 2**23
 
+#: Most support directions D.  An envelope has at most D + 2 vertices, and the
+#: vertices x directions products of boundary checks peak near 16*D**2 bytes.
+MAX_DIRECTIONS = 4097
+
 #: Figure presets: selections, interference gains, (p1, p2).
 FIGURES = {
     "fig2": (("g3p", "co1"), (1.0, 1.3628, 3.3628), (6.0, 6.0)),
@@ -102,6 +106,10 @@ class RunConfig:
         if self.command == "capacity-check":
             # it always compares the achievable g3p with the outer co1
             object.__setattr__(self, "selections", ("g3p", "co1"))
+        if self.command == "figure":
+            if self.figure not in FIGURES:
+                raise ValueError(f"unknown figure {self.figure!r}; choose from {tuple(FIGURES)}")
+            object.__setattr__(self, "selections", FIGURES[self.figure][0])
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
         checked = [("p1", self.p1), ("p2", self.p2), ("b", self.b), ("tol", self.tol)]
@@ -114,8 +122,9 @@ class RunConfig:
             raise ValueError("grids need at least 2 points")
         if self.n_cov < 2:
             raise ValueError("covariance grids need at least 2 points")
-        if self.n_directions < 3:
-            raise ValueError("need at least 3 hull directions")
+        if not 3 <= self.n_directions <= MAX_DIRECTIONS:
+            raise ValueError(
+                f"need 3 to {MAX_DIRECTIONS} hull directions, got {self.n_directions}")
         for s in self.selections:
             if s not in SELECTIONS:
                 raise ValueError(
@@ -125,8 +134,6 @@ class RunConfig:
             raise ValueError("at least one --select is required")
         if self.command == "compare" and len(self.selections) < 2:
             raise ValueError("compare needs at least 2 distinct selections")
-        if self.command == "figure" and self.figure not in FIGURES:
-            raise ValueError(f"unknown figure {self.figure!r}; choose from {tuple(FIGURES)}")
         for sel in self.selections:
             count = _pentagon_count(sel, self)
             if count > MAX_PENTAGONS:
@@ -140,9 +147,9 @@ def _check_received_power(p1: float, p2: float, b: float) -> None:
     """Refuse gains and powers for which a region family would overflow a float.
 
     Past b*b, b*b*p1 and the received total, the largest products the
-    families form are own*relayed <= p1**2/4 (g3p), (1 + lam**2)*total <=
-    (1 + p1/4)*total (g3p, as lam**2 <= relayed/4) and (c_tot - c_priv)**2
-    <= 4*p1*p2 (bcdms; co1 takes sqrt(p1*p2)).  Since total >= p2 + 1,
+    families form are own*relayed <= p1**2/4 (g3p) and (c_tot - c_priv)**2
+    <= 4*p1*p2 (bcdms; co1 takes sqrt(p1*p2)); g3p's r2 argument is a sum
+    of squares no larger than 1 + p1/4 + total.  Since total >= p2 + 1,
     8*(1 + p1)*max(p1, total) bounds each of them with a factor of at least
     2 to spare for roundoff, so no family overflows when it is finite.
     """
@@ -415,18 +422,18 @@ def cmd_capacity_check(cfg: RunConfig) -> int:
 
 def cmd_figure(cfg: RunConfig) -> int:
     """Emit the preset curves of one figure: CSV per curve plus an overlay."""
-    selections, preset_bs, (p1, p2) = FIGURES[cfg.figure]
+    _, preset_bs, (p1, p2) = FIGURES[cfg.figure]
     gains = cfg.b_list or preset_bs
     os.makedirs(cfg.output, exist_ok=True)
     regions = {
         (sel, gain): build_region(sel, ChannelParams(p1, p2, gain), cfg)
         for gain in gains
-        for sel in selections
+        for sel in cfg.selections
     }
     written = []
     curves = []
     for gain in gains:
-        for sel in selections:
+        for sel in cfg.selections:
             region = regions[(sel, gain)]
             path = os.path.join(cfg.output, f"{cfg.figure}_{sel}_b{gain:g}.csv")
             write_csv(path, region)
@@ -506,13 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "figure":
-        selections, preset_bs, (p1, p2) = FIGURES.get(args.figure, ((), (), (0.0, 0.0)))
+        _, preset_bs, (p1, p2) = FIGURES[args.figure]
         return RunConfig(
             command="figure",
             p1=p1,
             p2=p2,
-            b=preset_bs[0] if preset_bs else 1.0,
-            selections=selections,
+            b=preset_bs[0],
             n_points=args.points,
             n_cov=args.cov_points,
             n_directions=args.directions,

@@ -17,7 +17,9 @@ clamped.  Axis letters used throughout: u=u1, v=v2, a=w1, b=w2, c=u (the
 outer bound's cooperative u), x=x1, z=x2, m=y1, n=y2, and s for the leading
 sample axis.  The ``_FACTORS`` table is the single source of each
 factorization: the joint's axes, its einsum and the auxiliaries are all
-derived from it.
+derived from it.  Likewise ``_BOUNDS`` is the single source of each
+variant's rate bounds, written as informations in these letters, and one
+routine evaluates them and the high-interference margin.
 
 Every evaluation runs on a batch of samples stacked along the leading axis
 s; the single-distribution API is a batch of one.  The arithmetic of each
@@ -27,6 +29,7 @@ the same bits however its samples are chunked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,6 +77,24 @@ _JOINT_EINSUM = {
     for v, fs in _FACTORS.items()
 }
 _AUX = {v: tuple(_VARS[c] for c in axes if c not in "xz") for v, axes in _JOINT_AXES.items()}
+
+#: Rate bounds per variant, (r1, r2, sum), in the axis letters: each is the
+#: min over its comma-separated alternatives, each a left-to-right signed
+#: sum of informations "A;B" = I(A;B) and "A;B|C" = I(A;B|C).
+_BOUNDS = {
+    "full": (
+        "ua;m - a;v|u",
+        "vb;n|u",
+        "vb;n|u + ua;m - a;bv|u, vbu;n + a;m|u - a;bv|u",
+    ),
+    "r1": ("a;m - a;v", "vb;n", "vb;n + a;m - a;bv"),
+    "r2": ("u;m", "v;n|u", "vu;n"),
+    "r3": ("u;m - u;v", "v;un", "uv;n"),
+    "outer": ("x;m|z, c;m", "xz;n|c", "xz;n"),
+}
+
+#: High-interference margin I(X1;Y2|X2) - I(X1;Y1|X2) over a p(x1,x2) joint.
+_MARGIN = ("x;n|z - x;m|z",)
 
 
 def _check_stochastic(name: str, arr: np.ndarray, block_ndim: int) -> np.ndarray:
@@ -282,16 +303,48 @@ def _table(joint: np.ndarray, groups) -> np.ndarray:
     return t.reshape([len(t)] + [math.prod(joint.shape[ax + 1] for ax in g) for g in groups])
 
 
-def _mi(joint, a, b) -> np.ndarray:
-    return _mutual_information(_table(joint, (a, b)))
+def _evaluate(joints: np.ndarray, letters: str, bounds: tuple, ch: DmcChannel) -> list:
+    """Each bound of a batch of joint tables whose axes after s are the letters.
+
+    A bound is the min over its comma-separated alternatives, each a signed
+    sum of informations "A;B" or "A;B|C" taken left to right.  An
+    information naming m (y1) or n (y2) is read off the joints pushed
+    through k1 or k2, which keep the auxiliaries and any of x, z a bound
+    names; any other off the auxiliaries alone.  Each distinct information
+    is computed once.
+    """
+    alts = [[alt.split() for alt in bound.split(",")] for bound in bounds]
+    infos = dict.fromkeys(t for bound in alts for alt in bound for t in alt[::2])
+    named = set("".join(infos))
+    aux = "".join(c for c in letters if c not in "xz")
+    kept = "".join(c for c in letters if c in aux or c in named)
+    tables = {}
+    for t in infos:
+        out = "m" if "m" in t else "n" if "n" in t else ""
+        axes = kept + out if out else aux
+        if out not in tables:
+            tables[out] = (
+                np.einsum(f"s{letters},xm->s{axes}", joints, ch.k1) if out == "m"
+                else np.einsum(f"s{letters},xzn->s{axes}", joints, ch.k2_cube) if out == "n"
+                else joints.sum(axis=tuple(1 + letters.index(c) for c in "xz"))
+            )
+        groups = [tuple(axes.index(c) for c in g) for g in t.replace("|", ";").split(";")]
+        mi = _mutual_information if len(groups) == 2 else _conditional_mi
+        infos[t] = mi(_table(tables[out], groups))
+    result = []
+    for bound in alts:
+        sums = []
+        for alt in bound:
+            acc = infos[alt[0]]
+            for sign, t in zip(alt[1::2], alt[2::2]):
+                acc = acc + infos[t] if sign == "+" else acc - infos[t]
+            sums.append(acc)
+        result.append(functools.reduce(np.minimum, sums))
+    return result
 
 
-def _cmi(joint, a, b, c) -> np.ndarray:
-    return _conditional_mi(_table(joint, (a, b, c)))
-
-
-def _joint(d: FactoredDist, ch: DmcChannel, variant: str) -> np.ndarray:
-    """Joint table of d as a batch of one, once d is of the variant and matches ch."""
+def _eval_dist(d: FactoredDist, ch: DmcChannel, variant: str) -> Pentagon:
+    """The pentagon of d, once d is of the variant and matches ch."""
     if d.variant != variant:
         raise ValueError(f"expected a {variant!r} distribution, got {d.variant!r}")
     s = d.sizes
@@ -300,67 +353,8 @@ def _joint(d: FactoredDist, ch: DmcChannel, variant: str) -> np.ndarray:
             f"distribution alphabets (x1={s['x1']}, x2={s['x2']}) "
             f"do not match channel ({ch.nx1}, {ch.nx2})"
         )
-    return d.joint()[None]
-
-
-def _pentagon(bounds: tuple) -> Pentagon:
-    """The Pentagon of a batch of one (r1, r2, sum) bound arrays."""
+    bounds = _evaluate(d.joint()[None], _JOINT_AXES[variant], _BOUNDS[variant], ch)
     return Pentagon(*(float(b[0]) for b in bounds))
-
-
-def _full_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
-    # base is (s, u, v, a, b, x, z)
-    t_y1 = np.einsum("suvabxz,xm->suvabm", base, ch.k1)
-    t_y2 = np.einsum("suvabxz,xzn->suvabn", base, ch.k2_cube)
-    aux = base.sum(axis=(5, 6))  # (s, u, v, a, b)
-
-    i_uw_y1 = _mi(t_y1, (0, 2), (4,))
-    i_w_v_u = _cmi(aux, (2,), (1,), (0,))
-    i_vw_y2_u = _cmi(t_y2, (1, 3), (4,), (0,))
-    penalty = _cmi(aux, (2,), (3, 1), (0,))
-    i_vwu_y2 = _mi(t_y2, (1, 3, 0), (4,))
-    i_w_y1_u = _cmi(t_y1, (2,), (4,), (0,))
-
-    r1 = i_uw_y1 - i_w_v_u
-    r2 = i_vw_y2_u
-    s = np.minimum(r2 + i_uw_y1 - penalty, i_vwu_y2 + i_w_y1_u - penalty)
-    return r1, r2, s
-
-
-def _r1_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
-    # base is (s, v, a, b, x, z)
-    t_y1 = np.einsum("svabxz,xm->svabm", base, ch.k1)
-    t_y2 = np.einsum("svabxz,xzn->svabn", base, ch.k2_cube)
-    aux = base.sum(axis=(4, 5))  # (s, v, a, b)
-
-    i_w_y1 = _mi(t_y1, (1,), (3,))
-    i_w_v = _mi(aux, (1,), (0,))
-    i_vw_y2 = _mi(t_y2, (0, 2), (3,))
-    penalty = _mi(aux, (1,), (2, 0))
-    return i_w_y1 - i_w_v, i_vw_y2, i_vw_y2 + i_w_y1 - penalty
-
-
-def _r2_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
-    # base is (s, u, v, x, z)
-    t_y1 = np.einsum("suvxz,xm->suvm", base, ch.k1)
-    t_y2 = np.einsum("suvxz,xzn->suvn", base, ch.k2_cube)
-    return _mi(t_y1, (0,), (2,)), _cmi(t_y2, (1,), (2,), (0,)), _mi(t_y2, (1, 0), (2,))
-
-
-def _r3_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
-    # base is (s, u, v, x, z)
-    t_y1 = np.einsum("suvxz,xm->suvm", base, ch.k1)
-    t_y2 = np.einsum("suvxz,xzn->suvn", base, ch.k2_cube)
-    r1 = _mi(t_y1, (0,), (2,)) - _mi(base.sum(axis=(3, 4)), (0,), (1,))
-    return r1, _mi(t_y2, (1,), (0, 2)), _mi(t_y2, (0, 1), (2,))
-
-
-def _outer_bounds(base: np.ndarray, ch: DmcChannel) -> tuple:
-    # base is (s, c, x, z)
-    t_y1 = np.einsum("scxz,xm->scxzm", base, ch.k1)
-    t_y2 = np.einsum("scxz,xzn->scxzn", base, ch.k2_cube)
-    r1 = np.minimum(_cmi(t_y1, (1,), (3,), (2,)), _mi(t_y1, (0,), (3,)))
-    return r1, _cmi(t_y2, (1, 2), (3,), (0,)), _mi(t_y2, (1, 2), (3,))
 
 
 def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
@@ -370,27 +364,27 @@ def eval_region_R(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     sum = min over the two decoder orders, each with the binning penalty
     I(W1;W2,V2|U1) subtracted.
     """
-    return _pentagon(_full_bounds(_joint(d, ch, "full"), ch))
+    return _eval_dist(d, ch, "full")
 
 
 def eval_region_R1(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the no-common-layer scheme (binning only)."""
-    return _pentagon(_r1_bounds(_joint(d, ch, "r1"), ch))
+    return _eval_dist(d, ch, "r1")
 
 
 def eval_region_R2(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the superposition-only scheme."""
-    return _pentagon(_r2_bounds(_joint(d, ch, "r2"), ch))
+    return _eval_dist(d, ch, "r2")
 
 
 def eval_region_R3(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the precoded-common-message scheme ((U1,V2) correlated)."""
-    return _pentagon(_r3_bounds(_joint(d, ch, "r3"), ch))
+    return _eval_dist(d, ch, "r3")
 
 
 def eval_outer_co2_dmc(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     """Pentagon of the finite-alphabet outer bound at one p(u,x1,x2)."""
-    return _pentagon(_outer_bounds(_joint(d, ch, "outer"), ch))
+    return _eval_dist(d, ch, "outer")
 
 
 def _dirichlet(rngs: list, shapes: list) -> list:
@@ -483,10 +477,8 @@ def check_high_interference(
     inputs, margins = [], []
     for chunk in _chunks(n_samples, math.prod(shape) * max(ch.ny1, ch.ny2)):
         (pxx,) = _dirichlet(_substreams(seed, chunk), [(shape, 2)])
-        t_y1 = np.einsum("sxz,xm->sxzm", pxx, ch.k1)
-        t_y2 = np.einsum("sxz,xzn->sxzn", pxx, ch.k2_cube)
         inputs.append(pxx)
-        margins.append(_cmi(t_y2, (0,), (2,), (1,)) - _cmi(t_y1, (0,), (2,), (1,)))
+        margins.extend(_evaluate(pxx, "xz", _MARGIN, ch))
     margin = np.concatenate(margins)
     i = int(np.argmin(margin))
     holds = bool(margin[i] >= -1e-9)
@@ -514,15 +506,6 @@ def random_dist(
     return FactoredDist(variant, {name: f[0] for name, f in factors.items()})
 
 
-_EVALUATORS = {
-    "full": _full_bounds,
-    "r1": _r1_bounds,
-    "r2": _r2_bounds,
-    "r3": _r3_bounds,
-    "outer": _outer_bounds,
-}
-
-
 def random_search_region(
     ch: DmcChannel,
     variant: str,
@@ -541,13 +524,13 @@ def random_search_region(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     sizes = _alphabet_sizes(variant, ch, aux_sizes)
     entries = _check_joint_entries(variant, sizes) * max(ch.ny1, ch.ny2)
-    evaluate = _EVALUATORS[variant]
     bounds = []
     for chunk in _chunks(n_samples, entries):
         factors = _sample_factors(variant, sizes, _substreams(seed, chunk))
         for name, _, block in _FACTORS[variant]:
             _check_stochastic(name, factors[name], block)
-        bounds.append(evaluate(_joints(variant, factors), ch))
+        bounds.append(_evaluate(_joints(variant, factors), _JOINT_AXES[variant],
+                                _BOUNDS[variant], ch))
     r1, r2, s = (np.concatenate(b) for b in zip(*bounds))
     if not np.any((r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)):
         raise ValueError(

@@ -117,10 +117,12 @@ def _g3_arrays(ch: ChannelParams, alpha, lam):
     own = alpha * p1
     relayed = (1.0 - alpha) * p1
     lam2 = 1.0 + lam * lam
-    den = lam2 * (p1 + 1.0) - (np.sqrt(own) + lam * np.sqrt(relayed)) ** 2
+    # lam2*(p1 + 1) - (sqrt(own) + lam*sqrt(relayed))**2 and lam2*total -
+    # (b*sqrt(own) + lam*(sqrt(p2) + b*sqrt(relayed)))**2 as sums of squares
+    den = lam2 + (np.sqrt(relayed) - lam * np.sqrt(own)) ** 2
     total = (b * np.sqrt(relayed) + np.sqrt(p2)) ** 2 + b * b * own + 1.0
     r1 = _hl2((p1 + 1.0) / den)
-    r2 = _hl2(lam2 * total - (b * np.sqrt(own) + lam * (np.sqrt(p2) + b * np.sqrt(relayed))) ** 2)
+    r2 = _hl2(lam2 + (np.sqrt(p2) + b * np.sqrt(relayed) - lam * b * np.sqrt(own)) ** 2)
     s = _hl2(total)
     return r1, r2, s
 
@@ -133,7 +135,8 @@ def _g3p_arrays(ch: ChannelParams, alpha):
     lam2 = 1.0 + lam * lam
     total = (b * np.sqrt(relayed) + np.sqrt(p2)) ** 2 + b * b * own + 1.0
     r1 = _hl2(1.0 + own)
-    r2 = _hl2(lam2 * total - (b * np.sqrt(own) + lam * (np.sqrt(p2) + b * np.sqrt(relayed))) ** 2)
+    # g3's r2, where sqrt(p2) + b*sqrt(relayed) - lam*b*sqrt(own) simplifies
+    r2 = _hl2(lam2 + (np.sqrt(p2) + b * np.sqrt(relayed) / (own + 1.0)) ** 2)
     s = _hl2(total)
     return r1, r2, s
 

@@ -97,9 +97,11 @@ class TestExitCodes:
         ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "co1"],
         ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "bcdms"],
         ["region", "--p1", "1e200", "--p2", "0", "--b", "0", "--select", "g3p"],
+        ["region", "--select", "g2,co1", "--directions", "721000"],
     ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid",
             "overflowing-gain", "overflowing-figure-gain", "g3p-lambda-total",
-            "co1-power-product", "bcdms-power-product", "g3p-own-relayed"])
+            "co1-power-product", "bcdms-power-product", "g3p-own-relayed",
+            "oversized-directions"])
     def test_out_of_contract_input_is_usage_error(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         def built(*args, **kwargs):
@@ -113,18 +115,24 @@ class TestExitCodes:
     def test_grid_guard_admits_every_default_and_g_at_201(self):
         for cmd, sels in (("region", cli.SELECTIONS), ("capacity-check", ())):
             RunConfig(command=cmd, p1=6, p2=6, b=2, selections=sels)
+        for fig in cli.FIGURES:
+            cfg = RunConfig(command="figure", p1=6, p2=6, b=2, figure=fig)
+            assert cfg.selections == cli.FIGURES[fig][0]
         RunConfig(command="region", p1=6, p2=6, b=2, selections=("g",),
                   n_points=201)
         with pytest.raises(ValueError, match="pentagons"):
             RunConfig(command="capacity-check", p1=6, p2=6, b=2,
                       n_points=cli.MAX_PENTAGONS + 1)
+        with pytest.raises(ValueError, match="pentagons"):
+            # fig3's g at 300 points: 27 million pentagons
+            RunConfig(command="figure", p1=6, p2=6, b=2, figure="fig3", n_points=300)
 
     @pytest.mark.parametrize("p1, p2, b", [
         (1e-300, 1e300, 1e200),  # b*b overflows
         (1e300, 6.0, 1e10),      # b*b is finite, b*b*p1 is not
         (1e307, 1.5e308, 1.0),   # b*b and b*b*p1 are finite, the total is not
         (1e200, 0.0, 0.0),       # the total is finite, g3p's own*relayed is not
-        (0.25, 1.78e308, 0.0),   # 4*p1*total is finite, g3p's (1 + lam**2)*total is not
+        (0.25, 1.78e308, 0.0),   # the total is finite, 8*(1 + p1)*total is not
     ])
     def test_overflowing_received_power_is_refused(self, p1, p2, b):
         with pytest.raises(ValueError, match="received power overflows"):
@@ -132,7 +140,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("vary, fixed", [
         ("p1", {"p2": 1e10, "b": 0.0}),    # g3p's own*relayed, about p1**2/4
-        ("p2", {"p1": 0.25, "b": 0.0}),    # g3p's (1 + lam**2)*total
+        ("p2", {"p1": 0.25, "b": 0.0}),    # the guard's 8*(1 + p1)*total
         ("p1", {"p2": 1e153, "b": 0.0}),   # bcdms' (c_tot - c_priv)**2 <= 4*p1*p2
     ])
     def test_every_family_is_finite_at_the_largest_admitted_input(
@@ -191,6 +199,15 @@ class TestExitCodes:
                      "--select", "bcdms", "--output", str(tmp_path), *SMALL])
         assert code == 0
         (path,) = tmp_path.glob("bcdms_*.csv")
+        pts = read_csv(path)
+        assert len(pts) >= 2
+        assert np.all(np.isfinite(pts)) and np.all(pts >= 0.0)
+
+    def test_g3p_at_extreme_gain_is_finite(self, tmp_path):
+        code = main(["region", "--p1", "6", "--p2", "6", "--b", "1e100",
+                     "--select", "g3p", "--output", str(tmp_path)])
+        assert code == 0
+        (path,) = tmp_path.glob("g3p_*.csv")
         pts = read_csv(path)
         assert len(pts) >= 2
         assert np.all(np.isfinite(pts)) and np.all(pts >= 0.0)

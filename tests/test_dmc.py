@@ -590,3 +590,74 @@ class TestBatchedSampling:
         assert not rep.holds_on_samples
         assert rep.worst_margin == worst
         assert np.array_equal(rep.witness, witness)
+
+
+#: Variable names of each variant's joint axes, then the two outputs.
+JOINT_NAMES = {
+    "full": ("U1", "V2", "W1", "W2", "X1", "X2"),
+    "r1": ("V2", "W1", "W2", "X1", "X2"),
+    "r2": ("U1", "V2", "X1", "X2"),
+    "r3": ("U1", "V2", "X1", "X2"),
+    "outer": ("U", "X1", "X2"),
+}
+
+#: Each variant's (r1, r2, sum) bounds, written from the paper's regions
+#: with I(A, B, C) = I(A;B|C) over space-separated variable lists.
+PAPER_BOUNDS = {
+    "full": lambda I: (
+        I("U1 W1", "Y1") - I("W1", "V2", "U1"),
+        I("V2 W2", "Y2", "U1"),
+        min(I("V2 W2", "Y2", "U1") + I("U1 W1", "Y1"),
+            I("U1 V2 W2", "Y2") + I("W1", "Y1", "U1")) - I("W1", "V2 W2", "U1"),
+    ),
+    "r1": lambda I: (
+        I("W1", "Y1") - I("W1", "V2"),
+        I("V2 W2", "Y2"),
+        I("V2 W2", "Y2") + I("W1", "Y1") - I("W1", "V2 W2"),
+    ),
+    "r2": lambda I: (I("U1", "Y1"), I("V2", "Y2", "U1"), I("U1 V2", "Y2")),
+    "r3": lambda I: (I("U1", "Y1") - I("U1", "V2"), I("V2", "U1 Y2"), I("U1 V2", "Y2")),
+    "outer": lambda I: (
+        min(I("X1", "Y1", "X2"), I("U", "Y1")),
+        I("X1 X2", "Y2", "U"),
+        I("X1 X2", "Y2"),
+    ),
+}
+
+
+def entropy_oracle(d, ch):
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C) from explicit marginals of
+    the joint over the inputs and both outputs."""
+    names = JOINT_NAMES[d.variant] + ("Y1", "Y2")
+    p = np.einsum("...xz,xm,xzn->...xzmn", d.joint(), ch.k1, ch.k2_cube)
+
+    def entropy(variables):
+        q = p.sum(axis=tuple(i for i, n in enumerate(names) if n not in variables))
+        q = q[q > 0.0]
+        return float(-np.sum(q * np.log2(q)))
+
+    def info(a, b, c=""):
+        a, b, c = set(a.split()), set(b.split()), set(c.split())
+        return entropy(a | c) + entropy(b | c) - entropy(a | b | c) - entropy(c)
+
+    return info
+
+
+@pytest.mark.parametrize("overrides", [False, True], ids=["default", "aux"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_bound_matches_an_entropy_oracle(variant, overrides):
+    rng = np.random.default_rng(21)
+    channels = [  # (nx1, nx2, ny1, ny2) = (2, 3, 3, 2) and (3, 2, 2, 4)
+        DmcChannel.from_kernels(rng.dirichlet(np.ones(3), size=2),
+                                rng.dirichlet(np.ones(2), size=6).reshape(2, 3, 2)),
+        DmcChannel.from_kernels(rng.dirichlet(np.ones(2), size=3),
+                                rng.dirichlet(np.ones(4), size=6).reshape(3, 2, 4)),
+    ]
+    aux = AUX_OVERRIDES[variant] if overrides else None
+    for ch in channels:
+        for _ in range(10):
+            d = random_dist(variant, ch, aux, rng=rng)
+            p = EVALUATE[variant](d, ch)
+            want = PAPER_BOUNDS[variant](entropy_oracle(d, ch))
+            got = (p.r1_max, p.r2_max, p.sum_max)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)

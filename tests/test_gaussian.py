@@ -161,6 +161,13 @@ class TestG3pPentagon:
     def test_p1_zero(self):
         assert g3p_pentagon(ChannelParams(0, 6, 2), alpha=0.4).r1_max == 0.0
 
+    @pytest.mark.parametrize("b", [1e4, 1e8, 1e10, 1e100])
+    def test_r2_keeps_its_digits_at_huge_gains(self, b):
+        # at alpha=1 nothing is relayed and r2 is exactly hl2(1 + P2),
+        # however loud the cognitive signal is at receiver 2
+        assert g3p_pentagon(ChannelParams(6, 6, b), 1.0).r2_max == pytest.approx(
+            hl2(7), abs=1e-12)
+
 
 class TestCapacityPentagon:
     def test_alpha_one_unit_gain(self):
