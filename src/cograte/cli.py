@@ -13,8 +13,9 @@ family g, 41 per covariance dimension), 721 hull directions.  Tolerances:
 1e-3 bits for capacity-meets-bound claims, 5e-3 bits for coincide or
 strict-inclusion claims; both are grid-limited, not exact arithmetic.
 Regions are built one after another.  An invocation whose largest region
-would evaluate more than MAX_PENTAGONS pentagons is refused as a usage
-error before anything is allocated.
+would evaluate more than MAX_PENTAGONS pentagons, or whose one-parameter
+family would take more than MAX_SUPPORT_CELLS support cells, is refused as
+a usage error before anything is allocated.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ REGIME_TOL = 5e-5
 #: grid, so this bounds work, not memory.  g at --points 201 (8,120,802)
 #: and every default fit.
 MAX_PENTAGONS = 2**23
+
+#: Most support cells (pentagons x directions) of one region's support
+#: maximum.  The prune keeps every pentagon of a one-parameter family, so
+#: g2, g3p, capacity and co1 (co2's co1 part too) cost points x directions;
+#: at about 12 ns per cell this is about 3 s.
+MAX_SUPPORT_CELLS = 2**28
 
 #: Most support directions D.  An envelope has at most D + 2 vertices, and the
 #: vertices x directions products of boundary checks peak near 16*D**2 bytes.
@@ -141,6 +148,14 @@ class RunConfig:
                     f"region {sel!r} would evaluate {count} pentagons, more than "
                     f"{MAX_PENTAGONS}; lower --points or --cov-points"
                 )
+        for sel in self.selections:
+            cells = _support_cells(sel, self)
+            if cells > MAX_SUPPORT_CELLS:
+                raise ValueError(
+                    f"region {sel!r} would take {cells} support cells "
+                    f"(points x directions), more than {MAX_SUPPORT_CELLS}; "
+                    f"lower --points or --directions"
+                )
 
 
 def _check_received_power(p1: float, p2: float, b: float) -> None:
@@ -182,6 +197,14 @@ def _pentagon_count(sel: str, cfg: RunConfig) -> int:
     if sel == "co2":
         return k + cfg.n_cov**4
     return k
+
+
+def _support_cells(sel: str, cfg: RunConfig) -> int:
+    """Pentagons x directions of sel's one-parameter family, whose prune
+    keeps every pentagon (0 for g, g1 and bcdms, whose prune keeps few)."""
+    if sel in ("g2", "g3p", "capacity", "co1", "co2"):
+        return _points(sel, cfg) * cfg.n_directions
+    return 0
 
 
 def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,21 @@ MAX_JOINT_ENTRIES = 10**8
 #: Table entries per chunk of a random search: samples times the entries of
 #: a sample's largest table, a joint times one output alphabet.
 _CHUNK_ENTRIES = 2**18
+
+#: Most samples of one search or check: every sample index is one 32-bit word.
+_MAX_SAMPLES = 2**32
+
+#: numpy's SeedSequence hashing of its entropy into a pool of 32-bit words,
+#: and PCG64's 128-bit LCG multiplier; together they give the substream
+#: np.random.default_rng((seed, i)) of sample i.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
 
 #: Variable name per axis letter.
 _VARS = {"u": "u1", "v": "v2", "a": "w1", "b": "w2", "c": "u", "x": "x1", "z": "x2"}
@@ -387,33 +404,38 @@ def eval_outer_co2_dmc(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     return _eval_dist(d, ch, "outer")
 
 
-def _dirichlet(rngs: list, shapes: list) -> list:
-    """Dirichlet(1) arrays of the given (shape, block) pairs, stacked over rngs.
+def _dirichlet(rngs: Iterable, n: int, shapes: list) -> list:
+    """Dirichlet(1) arrays of the given (shape, block) pairs, one sample per rng.
 
-    Each block of trailing axes is one distribution.  Bit for bit what
+    Each block of trailing axes is one distribution; the n samples are
+    stacked along a leading axis.  Bit for bit what
     rng.dirichlet(np.ones(k), size=rows) gives per shape, in order: with
     all-ones alpha numpy draws standard exponentials (gamma(1) variates) row
     by row, sums each row left to right and multiplies it by the reciprocal
-    of the sum.  Here one standard_exponential call per rng covers every shape.
+    of the sum.  Here one standard_exponential call per rng fills that
+    sample's row of one preallocated array, before the next rng is taken,
+    so rngs may re-seed one Generator for each sample.
     """
     counts = [math.prod(shape) for shape, _ in shapes]
-    draws = np.stack([rng.standard_exponential(sum(counts)) for rng in rngs])
+    draws = np.empty((n, sum(counts)))
+    for row, rng in zip(draws, rngs):
+        rng.standard_exponential(out=row)
     out, lo = [], 0
     for (shape, block), count in zip(shapes, counts):
         k = math.prod(shape[len(shape) - block:])
-        rows = draws[:, lo:lo + count].reshape(len(rngs), -1, k)
+        rows = draws[:, lo:lo + count].reshape(n, -1, k)
         # cumsum is sequential, so its last column is numpy's running sum
         rows = rows * (1.0 / np.cumsum(rows, axis=-1)[..., -1:])
-        out.append(rows.reshape(len(rngs), *shape))
+        out.append(rows.reshape(n, *shape))
         lo += count
     return out
 
 
-def _sample_factors(variant: str, sizes: dict, rngs: list) -> dict:
+def _sample_factors(variant: str, sizes: dict, rngs: Iterable, n: int) -> dict:
     """The variant's factors, one sample per rng, stacked along axis s."""
     spec = _FACTORS[variant]
     shapes = [(tuple(sizes[_VARS[c]] for c in axes), block) for _, axes, block in spec]
-    return dict(zip((name for name, _, _ in spec), _dirichlet(rngs, shapes)))
+    return dict(zip((name for name, _, _ in spec), _dirichlet(rngs, n, shapes)))
 
 
 def _alphabet_sizes(variant: str, ch: DmcChannel, aux_sizes: dict | None) -> dict:
@@ -442,9 +464,107 @@ def _chunks(n_samples: int, entries_per_sample: int) -> list:
     return [range(lo, min(lo + step, n_samples)) for lo in range(0, n_samples, step)]
 
 
-def _substreams(seed: int, indices: range) -> list:
-    """The PRNG of each sample index: substream (seed, i)."""
-    return [np.random.default_rng((seed, i)) for i in indices]
+def _check_sampling(n_samples: int, seed: int) -> None:
+    """Refuse a sample count or seed that has no substream (seed, i) for every i."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples > _MAX_SAMPLES:
+        raise ValueError(
+            f"n_samples must be <= 2**32 so that every sample index is one "
+            f"32-bit word, got {n_samples}"
+        )
+    _seed_words(seed)
+
+
+def _seed_words(seed: int) -> list:
+    """The 32-bit words SeedSequence reads from an integer seed, low word first."""
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_table(init: int, mult: int, n_hashes: int) -> np.ndarray:
+    """SeedSequence's hash constant over n_hashes hashes, as a uint32 column.
+
+    Hash k xors its value with row k and multiplies it by row k + 1.  The
+    constant moves the same way whatever the data, so every index shares
+    the table.
+    """
+    rows = [init]
+    for _ in range(n_hashes):
+        rows.append(rows[-1] * mult & _MASK32)
+    return np.array(rows, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One hash per row of table but the last, each of value or of its own row."""
+    value = (value ^ table[:-1]) * table[1:]
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ r >> _XSHIFT
+
+
+def _generate_states(seed: int, indices) -> np.ndarray:
+    """SeedSequence((seed, i)).generate_state(4, np.uint64) for every index i.
+
+    The entropy is the seed's words then i as one word.  numpy mixes it
+    into a pool of four words and hashes the pool, cycled, into eight
+    output words; here that runs as uint32 array arithmetic over all i at
+    once (arrays wrap silently where numpy scalars would warn).  Within one
+    source word the hashes into the other pool words do not depend on each
+    other, so each runs as one array operation.  Returns a
+    (4, len(indices)) uint64 array.
+    """
+    words = _seed_words(seed)
+    index = np.asarray(indices, dtype=np.uint32)
+    n_entropy = len(words) + 1
+    entropy = np.zeros((max(n_entropy, _POOL_SIZE), len(index)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = index
+    n_extra = max(0, n_entropy - _POOL_SIZE)
+    table = _hash_table(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + n_extra))
+    pool = _hashmix(entropy[:_POOL_SIZE], table[:_POOL_SIZE + 1])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], table[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:n_entropy]:
+        pool = _mix(pool, _hashmix(word, table[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    out = _hashmix(pool[np.arange(8) % _POOL_SIZE], _hash_table(_INIT_B, _MULT_B, 8))
+    out = out.astype(np.uint64)
+    # each uint64 is a little-endian pair of words
+    return out[0::2] | out[1::2] << np.uint64(32)
+
+
+def _substreams(seed: int, indices) -> Iterator[np.random.Generator]:
+    """The PRNG of each sample index i: np.random.default_rng((seed, i)), bit for bit.
+
+    PCG64 seeds itself from generate_state(4, uint64) as initstate (words
+    0, 1) and initseq (words 2, 3): inc = 2*initseq + 1 and state =
+    (initstate + inc)*MULT + inc, mod 2**128.  The states are derived for
+    every index at once, then set in turn on one Generator, which is
+    yielded once per index: draw from it before taking the next.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, q_hi, q_lo in zip(*_generate_states(seed, indices).tolist()):
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        bit_generator.state = full
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -468,15 +588,15 @@ def check_high_interference(
 
     margin = I(X1;Y2|X2) - I(X1;Y1|X2) per sample; margins below -1e-9
     count as refutations (smaller wobbles are roundoff on equality cases).
-    Sample i is Dirichlet(1) from the PRNG substream (seed, i); the witness
-    is the first sample with the smallest margin.
+    Sample i is Dirichlet(1) from the PRNG substream (seed, i),
+    np.random.default_rng((seed, i)); the witness is the first sample with
+    the smallest margin.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_sampling(n_samples, seed)
     shape = (ch.nx1, ch.nx2)
     inputs, margins = [], []
     for chunk in _chunks(n_samples, math.prod(shape) * max(ch.ny1, ch.ny2)):
-        (pxx,) = _dirichlet(_substreams(seed, chunk), [(shape, 2)])
+        (pxx,) = _dirichlet(_substreams(seed, chunk), len(chunk), [(shape, 2)])
         inputs.append(pxx)
         margins.extend(_evaluate(pxx, "xz", _MARGIN, ch))
     margin = np.concatenate(margins)
@@ -502,7 +622,7 @@ def random_dist(
     """
     sizes = _alphabet_sizes(variant, ch, aux_sizes)
     rng = rng if rng is not None else np.random.default_rng(0)
-    factors = _sample_factors(variant, sizes, [rng])
+    factors = _sample_factors(variant, sizes, [rng], 1)
     return FactoredDist(variant, {name: f[0] for name, f in factors.items()})
 
 
@@ -516,17 +636,17 @@ def random_search_region(
 ) -> ConvexRegion:
     """Hull of the variant's pentagons over sampled input distributions.
 
-    Sample i is random_dist's draw from the PRNG substream (seed, i), so a
-    fixed seed gives a bit-identical region.  Samples are evaluated in
+    Sample i is random_dist's draw from the PRNG substream (seed, i),
+    np.random.default_rng((seed, i)), so a fixed seed gives a bit-identical
+    region.  seed is a non-negative integer and n_samples at most 2**32.  Samples are evaluated in
     chunks along a leading sample axis, which changes no bit either.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_sampling(n_samples, seed)
     sizes = _alphabet_sizes(variant, ch, aux_sizes)
     entries = _check_joint_entries(variant, sizes) * max(ch.ny1, ch.ny2)
     bounds = []
     for chunk in _chunks(n_samples, entries):
-        factors = _sample_factors(variant, sizes, _substreams(seed, chunk))
+        factors = _sample_factors(variant, sizes, _substreams(seed, chunk), len(chunk))
         for name, _, block in _FACTORS[variant]:
             _check_stochastic(name, factors[name], block)
         bounds.append(_evaluate(_joints(variant, factors), _JOINT_AXES[variant],

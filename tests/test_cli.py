@@ -98,10 +98,11 @@ class TestExitCodes:
         ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "bcdms"],
         ["region", "--p1", "1e200", "--p2", "0", "--b", "0", "--select", "g3p"],
         ["region", "--select", "g2,co1", "--directions", "721000"],
+        ["region", "--select", "co2", "--points", "1000000", "--directions", "4097"],
     ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid",
             "overflowing-gain", "overflowing-figure-gain", "g3p-lambda-total",
             "co1-power-product", "bcdms-power-product", "g3p-own-relayed",
-            "oversized-directions"])
+            "oversized-directions", "oversized-support-work"])
     def test_out_of_contract_input_is_usage_error(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         def built(*args, **kwargs):
@@ -126,6 +127,24 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="pentagons"):
             # fig3's g at 300 points: 27 million pentagons
             RunConfig(command="figure", p1=6, p2=6, b=2, figure="fig3", n_points=300)
+
+    def test_support_budget_bounds_points_times_directions(self):
+        nd = cli.MAX_DIRECTIONS
+        k = cli.MAX_SUPPORT_CELLS // nd
+        for sel in ("g2", "g3p", "capacity", "co1", "co2"):
+            RunConfig(command="region", p1=6, p2=6, b=2, selections=(sel,),
+                      n_points=k, n_directions=nd)
+            with pytest.raises(ValueError, match="support cells"):
+                RunConfig(command="region", p1=6, p2=6, b=2, selections=(sel,),
+                          n_points=k + 1, n_directions=nd)
+        # the prune keeps few pentagons of g, g1 and bcdms: only the
+        # pentagon guard bounds them
+        RunConfig(command="region", p1=6, p2=6, b=2, selections=("g", "g1", "bcdms"),
+                  n_points=201, n_directions=nd)
+        with pytest.raises(ValueError, match="pentagons"):
+            # past both guards: the pentagon message comes first
+            RunConfig(command="region", p1=6, p2=6, b=2, selections=("g2",),
+                      n_points=cli.MAX_PENTAGONS + 1, n_directions=nd)
 
     @pytest.mark.parametrize("p1, p2, b", [
         (1e-300, 1e300, 1e200),  # b*b overflows

@@ -592,6 +592,46 @@ class TestBatchedSampling:
         assert np.array_equal(rep.witness, witness)
 
 
+#: Seeds of one to five 32-bit words.  With the index appended, 2**130 + 3
+#: has more words than SeedSequence's pool of four, which takes numpy's
+#: extra mixing loop.
+ORACLE_SEEDS = (0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
+
+#: 630 sample indices per seed, from both ends of the 32-bit range.
+ORACLE_INDICES = (*range(620), *range(2**32 - 10, 2**32))
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_every_substream_is_numpys_default_rng(self, seed):
+        assert {0, 1, 99, 2**32 - 1} <= set(ORACLE_INDICES)
+        drawn = 0
+        for i, rng in zip(ORACLE_INDICES, dmc._substreams(seed, ORACLE_INDICES)):
+            ref = np.random.default_rng((seed, i))
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, i)
+            assert np.array_equal(rng.standard_exponential(14),
+                                  ref.standard_exponential(14)), (seed, i)
+            drawn += 1
+        assert drawn == len(ORACLE_INDICES)
+
+    @pytest.mark.parametrize("n_samples, seed, error, match", [
+        (5, -1, ValueError, "non-negative"),
+        (5, 1.0, TypeError, None),
+        (2**32 + 1, 0, ValueError, "2\\*\\*32"),
+    ], ids=["negative-seed", "float-seed", "too-many-samples"])
+    def test_refused_before_any_sampling(self, n_samples, seed, error, match,
+                                         monkeypatch):
+        def sampled(*args):
+            raise AssertionError("a substream was drawn")
+
+        monkeypatch.setattr(dmc, "_substreams", sampled)
+        ch = noiseless_pair()
+        with pytest.raises(error, match=match):
+            random_search_region(ch, "r2", n_samples=n_samples, seed=seed)
+        with pytest.raises(error, match=match):
+            check_high_interference(ch, n_samples, seed=seed)
+
+
 #: Variable names of each variant's joint axes, then the two outputs.
 JOINT_NAMES = {
     "full": ("U1", "V2", "W1", "W2", "X1", "X2"),
