@@ -2,16 +2,19 @@
 
 A region is represented by support-function samples over the first-quadrant
 arc: the convex hull of a union of pentagons has support equal to the
-pointwise max of the member supports, so unions over millions of pentagons
-reduce to running maxima per direction with O(1) memory per direction.
-Only pentagons with a top corner that no other corner beats are evaluated;
-the rest never attain the maximum, so the result is the same float.  Every
-hull is built by hull_of_slabs, which takes a union as slabs: each slab is
-pruned on its own, and only its survivors are kept while the next slab is
-evaluated.
+pointwise max of the member supports.  Only pentagons with a top corner that
+no other corner beats are kept; the rest never attain the maximum.  The
+maximum itself is located on the convex chain of the kept top corners, so
+each direction evaluates only the few pentagons whose corners lie on or
+within roundoff of its support line, and the result is the same float as
+the max over every pentagon.  Every hull is built by hull_of_slabs, which
+takes a union as slabs: each slab is pruned on its own, and only its
+survivors are kept while the next slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
-exact intersection of the sampled halfplanes with the nonnegative quadrant,
-traced by one sorted-angle halfplane intersection.
+exact intersection of the sampled halfplanes with the nonnegative quadrant.
+A hull's sampled halfplanes all touch the hull, so its boundary is the
+intersections of consecutive lines; an intersection of regions has loose
+halfplanes and is traced by a sorted-angle halfplane intersection.
 """
 
 from __future__ import annotations
@@ -29,8 +32,15 @@ DEFAULT_DIRECTIONS = 721
 #: Vertex deduplication / constraint-check tolerance for boundary extraction.
 _BOUNDARY_TOL = 1e-9
 
-#: Cells (pentagons x directions) per chunk of the support-maximum kernel.
-_CHUNK_CELLS = 2**22
+#: Band below a direction's support line, relative to the largest pentagon
+#: bound, in which a top corner counts as tied with the maximum.  The closed
+#: form errs by a few units in the last place of the bounds (about 1e-15
+#: relative), so every pentagon whose value can round to the maximum has a
+#: corner in the band.
+_TIE_TOL = 2.0**-42
+
+#: Most pentagon-direction cells the support maximum evaluates at once.
+_BLOCK_CELLS = 2**15
 
 
 def quadrant_directions(n: int) -> np.ndarray:
@@ -64,6 +74,19 @@ def pentagon_support(p: Pentagon, d: tuple[float, float] | np.ndarray) -> float:
     return max(dx * vx + dy * vy for vx, vy in p.vertices())
 
 
+def _top_corners(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the two top corners of every pentagon.
+
+    Corner i is the r1-side corner of pentagon i and corner n + i its
+    r2-side corner; they coincide when the sum bound is slack.
+    """
+    x_first = np.minimum(r1, s)
+    y_second = np.minimum(r2, s)
+    x = np.concatenate([x_first, np.minimum(r1, s - y_second)])
+    y = np.concatenate([np.minimum(r2, s - x_first), y_second])
+    return x, y
+
+
 def _owns_undominated_corner(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Mask of the pentagons with a top corner that no other corner beats.
 
@@ -74,10 +97,7 @@ def _owns_undominated_corner(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> n
     Luccio and Preparata, JACM 1975): sort by x, running max of y, bisect.
     """
     n = r1.size
-    x_first = np.minimum(r1, s)
-    y_second = np.minimum(r2, s)
-    x = np.concatenate([x_first, np.minimum(r1, s - y_second)])
-    y = np.concatenate([np.minimum(r2, s - x_first), y_second])
+    x, y = _top_corners(r1, r2, s)
     order = np.argsort(x)
     x, y = x[order], y[order]
     # best_y[i] is the largest y among the corners sorted at or after i
@@ -88,41 +108,183 @@ def _owns_undominated_corner(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> n
     return ~(beaten[:n] & beaten[n:])
 
 
+def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-right convex chain of the points, from the largest x to the largest y.
+
+    Andrew's monotone chain (1979) over the staircase of the points: by
+    decreasing x, the points higher than every point before them.  The
+    vertices run by strictly decreasing x and strictly increasing y, and
+    collinear points are dropped.
+    """
+    order = np.lexsort((-y, -x))
+    xs, ys = x[order], y[order]
+    stair = np.append(True, ys[1:] > np.maximum.accumulate(ys)[:-1])
+    chain = []
+    for p in zip(xs[stair].tolist(), ys[stair].tolist()):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0.0:
+                break
+            chain.pop()
+        chain.append(p)
+    cx, cy = np.array(chain).T
+    return cx, cy
+
+
 def support_max_over_pentagons(
     r1: np.ndarray, r2: np.ndarray, s: np.ndarray, dirs: np.ndarray
 ) -> np.ndarray:
     """Per-direction max support over a batch of non-empty pentagons.
 
-    Uses the LP-dual closed form: for a pentagon (a, b, c) and direction
-    (dx, dy) the support is min(dx*a + dy*b, m*c + (dx-m)*a + (dy-m)*b,
-    M*c) with m = min(dx, dy), M = max(dx, dy).  The first two terms
-    collapse to dx*a + dy*b - m*max(a + b - c, 0), and the third can only
-    bind when the sum constraint is active, so each chunk reduces to a few
-    products plus an elementwise min.  Chunks of at most _CHUNK_CELLS
-    pentagon-direction cells bound temporary memory.  Every pentagon is
-    evaluated; hull_of_slabs passes only those its prune keeps.
+    A pentagon's support is the larger of its two top corners' and has the
+    LP-dual closed form min(dx*a + dy*b, m*c + (dx-m)*a + (dy-m)*b, M*c) for
+    a pentagon (a, b, c) and direction (dx, dy), with m = min(dx, dy) and
+    M = max(dx, dy).  The first two terms collapse to dx*a + dy*b -
+    m*max(a + b - c, 0), and the third can only bind when the sum
+    constraint is active.
+
+    The maximum is found on the convex chain of all top corners (monotone
+    chain, Andrew 1979), closed by a foot below its first vertex and one
+    left of its last.  One searchsorted of the directions' angles among the
+    chain's edge normals gives each direction its vertex, which widens to
+    the run of vertices within the tie band (_TIE_TOL) of the best.  Moving
+    a corner along (1, 1) onto the chain raises it in every direction and
+    keeps u = x - y, so a corner can round to the maximum only if it lies
+    within the band of the chain and its u falls where the chain is within
+    the band of the best.  Only the pentagons owning such corners, collinear
+    and coincident ones included, are evaluated, so the result is the same
+    float as the max over every pentagon, at a cost of O(P log P + D) for P
+    pentagons and D directions.  On the axes the max is read off the chain
+    exactly, as min(r1, s) or min(r2, s) is all the closed form leaves there.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
-    dx = dirs[:, 0][None, :]
-    dy = dirs[:, 1][None, :]
-    dmax = np.maximum(dx, dy)
-    dmin_neg = -np.minimum(dx, dy)
+    x, y = _top_corners(r1, r2, s)
+    bound = max(np.abs(r1).max(), np.abs(r2).max(), np.abs(s).max())
+    tol = _TIE_TOL * bound
+    cx, cy = _corner_chain(x, y)
+    cx = np.concatenate([cx[:1], cx, [x.min() - 1.0 - bound]])
+    cy = np.concatenate([[y.min() - 1.0 - bound], cy, cy[-1:]])
+    u = cx - cy
+    last = cx.size - 1
+    dx, dy = dirs[:, 0], dirs[:, 1]
+
+    # vertex k is the maximum for angles between the normals of edges k-1
+    # and k; widen it to the run of vertices within tol of the best
+    normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
+    lo = hi = np.searchsorted(normals, np.arctan2(dy, dx))
+    best = dx * cx[lo] + dy * cy[lo]
+    while True:
+        before, after = np.maximum(lo - 1, 0), np.minimum(hi + 1, last)
+        h_before = dx * cx[before] + dy * cy[before]
+        h_after = dx * cx[after] + dy * cy[after]
+        best = np.maximum(best, np.maximum(h_before, h_after))
+        down = (lo > 0) & (h_before >= best - tol)
+        up = (hi < last) & (h_after >= best - tol)
+        if not (down.any() or up.any()):
+            break
+        lo, hi = lo - down, hi + up
+
+    def reach(end, beyond):
+        """u where the chain from vertex end toward vertex beyond leaves the band."""
+        h_end = dx * cx[end] + dy * cy[end]
+        room, drop = h_end - (best - tol), h_end - (dx * cx[beyond] + dy * cy[beyond])
+        frac = np.divide(room, drop, out=np.zeros_like(drop), where=(room > 0.0) & (drop > 0.0))
+        return u[end] + np.minimum(frac, 1.0) * (u[beyond] - u[end])
+
+    u_top = reach(lo, np.maximum(lo - 1, 0)) + tol
+    u_bottom = reach(hi, np.minimum(hi + 1, last)) - tol
+    # a corner is near when it lies within the band of the chain, and not
+    # so deep on a foot that no sampled direction off the axes reaches it
+    corner_u = x - y
+    on_axis = (dx == 0.0) | (dy == 0.0)
+    lean = np.minimum(dx, dy)[~on_axis].min(initial=1.0)
+    depth = np.maximum(corner_u - u[1], u[-2] - corner_u)
+    near = np.flatnonzero((np.interp(-corner_u, -u, cx) - x <= 2.0 * tol)
+                          & (lean * depth <= 2.0 * tol))
+    near_u, owner = corner_u[near], near % r1.size
+    order = np.lexsort((s[owner], r2[owner], r1[owner], near_u))
+    key = np.column_stack([near_u, r1[owner], r2[owner], s[owner]])[order]
+    # repeated pentagons give the same value, so one copy of each is kept
+    fresh = order[np.append(True, np.any(key[1:] != key[:-1], axis=1))]
+    near_u, owner = near_u[fresh], owner[fresh]
+    start = np.searchsorted(near_u, u_bottom, side="left")
+    counts = np.searchsorted(near_u, u_top, side="right") - start
+    counts[on_axis] = 0
+    # cells run direction by direction: direction k has cells ends[k] -
+    # counts[k] to ends[k], for the pentagons owner[start[k]] onward
+    ends, total = np.cumsum(counts), int(counts.sum())
+    shift = start - (ends - counts)
+
+    # the same products, in the same order, as a pentagons x directions
+    # broadcast, so each value is bitwise the same
     excess = np.maximum(r1 + r2 - s, 0.0)
-    best = np.full(dirs.shape[0], -np.inf)
-    rows = max(1, _CHUNK_CELLS // dirs.shape[0])
-    # broadcasting instead of matmul keeps results bitwise independent of
-    # the chunk and batch sizes
-    for lo in range(0, r1.size, rows):
-        hi = lo + rows
-        h = r1[lo:hi, None] * dx + r2[lo:hi, None] * dy
-        h += excess[lo:hi, None] * dmin_neg
-        np.minimum(h, s[lo:hi, None] * dmax, out=h)
-        np.maximum(best, h.max(axis=0), out=best)
-    return best
+    dmin_neg, dmax = -np.minimum(dx, dy), np.maximum(dx, dy)
+    support = np.where(dy == 0.0, cx[0] * dx, np.where(dx == 0.0, cy[-1] * dy, -np.inf))
+    # coincident corners of many pentagons all need their own value, so the
+    # cells are evaluated in blocks of bounded size
+    for first in range(0, total, _BLOCK_CELLS):
+        stop = min(first + _BLOCK_CELLS, total)
+        k = np.arange(np.searchsorted(ends, first, side="right"),
+                      np.searchsorted(ends, stop - 1, side="right") + 1)
+        taken = np.minimum(ends[k], stop) - np.maximum(ends[k] - counts[k], first)
+        k, taken = k[taken > 0], taken[taken > 0]
+        j = np.repeat(k, taken)
+        p = owner[np.arange(first, stop) + shift[j]]
+        h = r1[p] * dx[j]
+        h += r2[p] * dy[j]
+        h += excess[p] * dmin_neg[j]
+        np.minimum(h, s[p] * dmax[j], out=h)
+        support[k] = np.maximum(support[k], np.maximum.reduceat(h, np.cumsum(taken) - taken))
+    return support
+
+
+def _dedupe(pts: np.ndarray) -> np.ndarray:
+    """Drop each vertex within _BOUNDARY_TOL of the one before it, per coordinate.
+
+    A run of such vertices keeps its first, which for the first run is the
+    vertex on the r1 axis; the last run keeps its last, the vertex on the r2
+    axis, so the polyline ends exactly there and not at a roundoff twin.
+    """
+    far = np.any(np.abs(np.diff(pts, axis=0)) > _BOUNDARY_TOL, axis=1)
+    keep = np.flatnonzero(np.append(True, far))
+    keep[-1] = len(pts) - 1
+    return pts[keep]
+
+
+def _quadrant_lines(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """(n + 2, 3) rows (a, b, h) of a.x + b.y <= h: y >= 0, the samples, x >= 0."""
+    return np.vstack([(0.0, -1.0, 0.0), np.column_stack([dirs, support]),
+                      (-1.0, 0.0, 0.0)])
+
+
+def _tight_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Vertices of {x >= 0, y >= 0, d_i.x <= h_i} when every halfplane is tight.
+
+    A hull's support touches the hull in every sampled direction, so no line
+    is cut off and the envelope's vertices are the intersections of
+    consecutive lines.  The two vertices on a sampled line bound its edge;
+    if the later one lies behind the earlier by more than _BOUNDARY_TOL
+    along the line, the line is loose and ValueError is raised.  Returns
+    an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
+    """
+    lines = _quadrant_lines(dirs, support)
+    (a0, b0, h0), (a, b, h) = lines[:-1].T, lines[1:].T
+    # the angle step is in (0, 180) degrees, so det > 0
+    det = a0 * b - b0 * a
+    verts = np.column_stack([(h0 * b - h * b0) / det, (a0 * h - a * h0) / det])
+    step = np.diff(verts, axis=0)
+    ahead = a[:-1] * step[:, 1] - b[:-1] * step[:, 0]
+    loose = np.flatnonzero(ahead < -_BOUNDARY_TOL)
+    if loose.size:
+        raise ValueError(
+            f"support is loose at {loose.size} sampled directions (first at index "
+            f"{loose[0]}); a hull's support touches every sampled halfplane"
+        )
+    return _dedupe(np.clip(verts, 0.0, None))
 
 
 def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -134,9 +296,7 @@ def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     vertex with its predecessor it cuts off.  Exact for any h_i >= 0, tight
     or not.  Returns an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
     """
-    lines = [(0.0, -1.0, 0.0)]
-    lines += zip(dirs[:, 0].tolist(), dirs[:, 1].tolist(), support.tolist())
-    lines.append((-1.0, 0.0, 0.0))
+    lines = _quadrant_lines(dirs, support).tolist()
     stack, verts = [lines[0]], []
     for a, b, h in lines[1:]:
         # d.x grows along the chain built so far (every stacked angle is
@@ -149,14 +309,7 @@ def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
         det = a0 * b - b0 * a
         verts.append(((h0 * b - h * b0) / det, (a0 * h - a * h0) / det))
         stack.append((a, b, h))
-    pts = np.clip(np.array(verts), 0.0, None)
-    xy = pts.tolist()
-    keep = [0]
-    for i in range(1, len(xy)):
-        kx, ky = xy[keep[-1]]
-        if abs(xy[i][0] - kx) > _BOUNDARY_TOL or abs(xy[i][1] - ky) > _BOUNDARY_TOL:
-            keep.append(i)
-    return pts[keep]
+    return _dedupe(np.clip(np.array(verts), 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -194,7 +347,12 @@ class ConvexRegion:
     def from_support(
         cls, directions: np.ndarray, support: np.ndarray, provenance: str = ""
     ) -> "ConvexRegion":
-        boundary = _halfplane_envelope(directions, np.asarray(support, dtype=float))
+        """Region of a hull's support: every sampled halfplane touches the hull.
+
+        Raises ValueError when a sampled halfplane is loose, as the pointwise
+        min of two supports can be; intersect handles those.
+        """
+        boundary = _tight_envelope(directions, np.asarray(support, dtype=float))
         return cls(directions=directions, support=support, boundary=boundary,
                    provenance=provenance)
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cograte.model import Pentagon, RatePair
+from cograte.bounds import co1_region
+from cograte.gaussian import capacity_region, g2_region, g3p_region, g_region
+from cograte.model import ChannelParams, Pentagon, RatePair
 from cograte import geometry
 from cograte.geometry import (
     ConvexRegion,
@@ -118,14 +120,82 @@ class TestPentagonSupport:
             mask = geometry._owns_undominated_corner(r1, r2, np.full(2, 10.0))
             assert mask.tolist() == [True, kept], corner
 
-    def test_chunk_size_does_not_change_the_support(self, monkeypatch):
-        # box pentagons with corners on a quarter circle: each one is a maximum
+    def test_order_repeats_slabs_and_blocks_do_not_change_the_support(self, monkeypatch):
+        # box pentagons with corners on a quarter circle (each one a maximum)
+        # beside random ones
+        rng = np.random.default_rng(12)
         t = np.linspace(0.0, np.pi / 2.0, 500)
-        a, b, c = 3.0 * np.cos(t), 3.0 * np.sin(t), np.full(t.size, 10.0)
+        a = np.concatenate([3.0 * np.cos(t), rng.uniform(0.0, 3.0, 200)])
+        b = np.concatenate([3.0 * np.sin(t), rng.uniform(0.0, 3.0, 200)])
+        c = np.concatenate([np.full(t.size, 10.0), rng.uniform(0.3, 5.0, 200)])
         dirs = quadrant_directions(181)
         ref = support_max_over_pentagons(a, b, c, dirs)
-        monkeypatch.setattr(geometry, "_CHUNK_CELLS", 3 * 181)
+        shuffled = rng.permutation(a.size)
+        assert np.array_equal(
+            support_max_over_pentagons(a[shuffled], b[shuffled], c[shuffled], dirs), ref)
+        twice = [np.concatenate([v, v[::-1]]) for v in (a, b, c)]
+        assert np.array_equal(support_max_over_pentagons(*twice, dirs), ref)
+        cuts = [0, 1, 250, 499, 500, 700]
+        slabs = [(a[i:j], b[i:j], c[i:j]) for i, j in zip(cuts, cuts[1:])]
+        assert np.array_equal(hull_of_slabs(slabs, 181).support,
+                              hull_of_slabs([(a, b, c)], 181).support)
+        assert np.array_equal(hull_of_slabs([(a, b, c)], 181).support, ref)
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 7)
         assert np.array_equal(support_max_over_pentagons(a, b, c, dirs), ref)
+
+
+def _broadcast_support(r1, r2, s, dirs):
+    """The closed form over every pentagon-direction cell, max over pentagons."""
+    dx = dirs[:, 0][None, :]
+    dy = dirs[:, 1][None, :]
+    h = r1[:, None] * dx + r2[:, None] * dy
+    h += np.maximum(r1 + r2 - s, 0.0)[:, None] * -np.minimum(dx, dy)
+    np.minimum(h, s[:, None] * np.maximum(dx, dy), out=h)
+    return h.max(axis=0)
+
+
+def _kernel_families():
+    """(name, r1, r2, s) batches of non-empty pentagons, ties on purpose."""
+    rng = np.random.default_rng(41)
+    fams = []
+    for i in range(3):
+        r1, r2 = rng.uniform(0.0, 3.0, (2, 300))
+        fams.append((f"random{i}", r1, r2, rng.uniform(0.3, 5.0, 300)))
+        r1, r2 = rng.uniform(0.0, 2.0, (2, 100))
+        fams.append((f"box{i}", r1, r2, r1 + r2 + rng.uniform(0.0, 1.0, 100)))
+    t = np.linspace(0.0, np.pi / 2.0, 400)
+    fams.append(("quarter-circle", 3.0 * np.cos(t), 3.0 * np.sin(t), np.full(t.size, 10.0)))
+    fams.append(("single", np.array([1.0]), np.array([1.0]), np.array([1.5])))
+    fams.append(("duplicates", np.full(50, 0.9), np.full(50, 1.1), np.full(50, 1.6)))
+    for i in range(20):
+        # bounds on a 0.1 grid: repeated, coincident and collinear corners
+        r1, r2, s = rng.integers(0, 31, (3, 60)) / 10.0
+        fams.append((f"grid{i}", r1, r2, np.maximum(s, 0.1)))
+        # corners on x + y = 3, all tied at 45 degrees: sum faces of a
+        # shared sum bound, and box corners of r1 + r2 = 3
+        k = rng.integers(0, 31, 40) / 10.0
+        cut = rng.random(40) < 0.5
+        r2 = np.where(cut, 3.0 - k + rng.integers(1, 10, 40) / 10.0, 3.0 - k)
+        s = np.where(cut, 3.0, 3.0 + rng.integers(0, 5, 40) / 10.0)
+        fams.append((f"diagonal{i}", k, r2, s))
+    for i in range(10):
+        # copies of corners on a circle, a few units in the last place apart
+        t = np.sort(rng.uniform(0.0, np.pi / 2.0, 30))
+        pick = rng.integers(0, 30, 180)
+        r1, r2 = 2.0 * np.cos(t)[pick], 2.0 * np.sin(t)[pick]
+        r1 = r1 + rng.integers(-4, 5, 180) * np.spacing(r1)
+        r2 = r2 + rng.integers(-4, 5, 180) * np.spacing(r2)
+        s = r1 + r2 - np.where(rng.random(180) < 0.5, 0.01, 0.0)
+        fams.append((f"ulps{i}", r1, r2, s))
+    return fams
+
+
+@pytest.mark.parametrize("n_directions", [181, 721])
+def test_kernel_matches_the_broadcast_formula_bit_for_bit(n_directions):
+    dirs = quadrant_directions(n_directions)
+    for name, r1, r2, s in _kernel_families():
+        got = support_max_over_pentagons(r1, r2, s, dirs)
+        assert np.array_equal(got, _broadcast_support(r1, r2, s, dirs)), name
 
 
 class TestHullOfUnion:
@@ -261,16 +331,60 @@ class TestUndominatedPentagons:
 
 
 class TestHalfplaneEnvelope:
-    def test_vertex_between_tight_halfplanes_around_a_loose_one(self):
+    def _loose_45_degree_sample(self):
         dirs = quadrant_directions(5)
         h = np.array([pentagon_support(Pentagon(1, 1, 1.5), d) for d in dirs])
         h[2] = 5.0  # the 45-degree sample is redundant
-        reg = ConvexRegion.from_support(dirs, h)
+        return dirs, h
+
+    def test_vertex_between_tight_halfplanes_around_a_loose_one(self):
+        dirs, h = self._loose_45_degree_sample()
+        boundary = geometry._halfplane_envelope(dirs, h)
         # the 22.5- and 67.5-degree lines meet on the diagonal
         v = h[1] / (dirs[1, 0] + dirs[1, 1])
         assert v == pytest.approx(0.853553, abs=1e-6)
         expect = [(1, 0), (1, 0.5), (v, v), (0.5, 1), (0, 1)]
-        assert np.abs(reg.boundary - np.array(expect)).max() <= 1e-12
+        assert np.abs(boundary - np.array(expect)).max() <= 1e-12
+
+    def test_hull_boundary_refuses_a_loose_halfplane(self):
+        dirs, h = self._loose_45_degree_sample()
+        with pytest.raises(ValueError, match="loose at 1 sampled directions"):
+            ConvexRegion.from_support(dirs, h)
+
+    def test_hulls_never_take_the_stack_path(self, monkeypatch):
+        def refuse(dirs, support):
+            raise AssertionError("halfplane stack used")
+
+        monkeypatch.setattr(geometry, "_halfplane_envelope", refuse)
+        a = _hull(Pentagon(1, 0.2, 1.2), Pentagon(0.7, 0.7, 1.0), n=181)
+        b = _hull(Pentagon(0.2, 1, 1.2), n=181)
+        with pytest.raises(AssertionError, match="stack"):
+            intersect(a, b)
+
+    @pytest.mark.parametrize("b", [1.0, 1.3628, 3.3628])
+    def test_hull_boundary_matches_the_stack_on_the_paper_families(self, b):
+        ch = ChannelParams(6.0, 6.0, b)
+        for reg in (g2_region(ch), g3p_region(ch), capacity_region(ch), co1_region(ch)):
+            stack = geometry._halfplane_envelope(reg.directions, reg.support)
+            assert reg.boundary.shape == stack.shape, reg.provenance
+            assert np.abs(reg.boundary - stack).max() <= 1e-12, reg.provenance
+
+    def test_hull_boundary_matches_the_stack_on_the_fig3_g_family(self):
+        for b in (1.3628, 3.3628):
+            reg = g_region(ChannelParams(6.0, 6.0, b), 101, 101, 101)
+            stack = geometry._halfplane_envelope(reg.directions, reg.support)
+            assert reg.boundary.shape == stack.shape
+            assert np.abs(reg.boundary - stack).max() <= 1e-12
+
+    def test_boundary_ends_exactly_on_the_axes(self):
+        # g3p at b = 1.3628 tops out on the r2 axis, where the lines of the
+        # last two samples meet a roundoff width away from it
+        reg = g3p_region(ChannelParams(6.0, 6.0, 1.3628))
+        stack = geometry._halfplane_envelope(reg.directions, reg.support)
+        for boundary in (reg.boundary, stack):
+            assert boundary[0, 1] == 0.0 and boundary[0, 0] == reg.support[0]
+            assert boundary[-1, 0] == 0.0 and boundary[-1, 1] == reg.support[-1]
+            assert np.abs(boundary[-2] - boundary[-1]).max() > geometry._BOUNDARY_TOL
 
     def test_intersect_is_exact_where_no_sample_is_tight(self):
         # two hulls crossing in the square [0, 0.2]^2: every sampled
