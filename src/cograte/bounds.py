@@ -89,15 +89,26 @@ def _bcdms_slabs(ch: ChannelParams, n_grid: int):
     tol = _PSD_TOL * p1 * p2
     priv_psd = c * c <= a * d + tol
     r1 = 0.5 * np.log2((p1 + 1.0) / (p1s + 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # entries violating priv_psd may have a zero or negative log
-        # argument; they are masked out below and never reach the hull
-        r2_grid = 0.5 * np.log2(1.0 + b * b * a + 2.0 * b * c + d)
+    # b*b*a + 2*b*c + d written as (b*sqrt(a) - sqrt(d))**2 + 2*b*(c +
+    # sqrt(a*d)): both terms are nonnegative where the split is PSD, so no
+    # digits cancel when b*b*a and d are large and close.  Roundoff and the
+    # PSD slack can leave c + sqrt(a*d) a few ulps of a*d below 0 on the
+    # boundary, which is clamped; non-PSD entries are masked out below.
+    sa = np.sqrt(p1s)[:, None, None]
+    sd = np.sqrt(p2s)[None, :, None]
+    # in place: one grid-sized temporary instead of five
+    r2_grid = c + sa * sd
+    np.maximum(r2_grid, 0.0, out=r2_grid)
+    r2_grid *= 2.0 * b
+    r2_grid += 1.0 + (b * sa - sd) ** 2
+    np.log2(r2_grid, out=r2_grid)
+    r2_grid *= 0.5
+    spread = (b * np.sqrt(p1) - np.sqrt(p2)) ** 2
     for ct in c_tots:
         ok = priv_psd & ((ct - c) ** 2 <= (p1 - a) * (p2 - d) + tol)
         rows = np.any(ok, axis=(1, 2))
         r2 = np.max(r2_grid, axis=(1, 2), where=ok, initial=-np.inf)[rows]
-        s = 0.5 * np.log2(1.0 + b * b * p1 + 2.0 * b * ct + p2)
+        s = 0.5 * np.log2(1.0 + spread + 2.0 * b * (ct + c_max))
         yield r1[rows], r2, np.full(r2.size, s)
 
 

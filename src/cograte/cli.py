@@ -32,6 +32,7 @@ import numpy as np
 
 from .bounds import DEFAULT_COV_GRID, bcdms_region, co1_region, co2_region
 from .gaussian import (
+    DEFAULT_G_GRID,
     DEFAULT_GRID,
     b_star,
     capacity_region,
@@ -185,7 +186,7 @@ def _check_received_power(p1: float, p2: float, b: float) -> None:
 
 
 def _points(sel: str, cfg: RunConfig) -> int:
-    return cfg.n_points or (101 if sel == "g" else DEFAULT_GRID)
+    return cfg.n_points or (DEFAULT_G_GRID if sel == "g" else DEFAULT_GRID)
 
 
 def _pentagon_count(sel: str, cfg: RunConfig) -> int:
@@ -235,22 +236,43 @@ def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:
 
 
 def _check_emitted_boundary(region: ConvexRegion) -> None:
-    # Every emitted vertex must lie inside its own sampled region.
-    slack = region.boundary @ region.directions.T - region.support[None, :]
-    if slack.size and float(np.max(slack)) > 1e-9:
+    # Every emitted vertex must lie inside its own sampled region.  The
+    # commands check each region once, before they write any file.
+    slack = region.boundary @ region.directions.T
+    slack -= region.support
+    if slack.size and float(slack.max()) > 1e-9:
         raise FloatingPointError(
-            f"boundary point escapes its region by {float(np.max(slack)):g} bits"
+            f"boundary point escapes its region by {float(slack.max()):g} bits"
         )
 
 
 def write_csv(path: str, region: ConvexRegion) -> None:
     """One vertex per line, 9 significant digits, LF endings."""
-    _check_emitted_boundary(region)
-    lines = ["r1_bits,r2_bits"]
-    for x, y in region.boundary:
-        lines.append(f"{x:.9g},{y:.9g}")
+    flat = region.boundary.ravel().tolist()
+    rows = "%.9g,%.9g\n" * (len(flat) // 2) % tuple(flat)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("r1_bits,r2_bits\n" + rows)
+
+
+#: How json.dump(indent=2) lays out the vertex pairs of a report region:
+#: the opening of the list, the break between two pairs, and the closing.
+_PAIRS_OPEN = "[\n        [\n          "
+_PAIRS_NEXT = "\n        ],\n        [\n          "
+_PAIRS_CLOSE = "\n        ]\n      ]"
+
+
+def _json_vertices(boundary: np.ndarray) -> str:
+    """boundary_bits as json.dump(indent=2) writes it in the report, from
+    json's C encoder: coordinates rounded to 9 significant digits."""
+    flat = boundary.ravel().tolist()
+    if not flat:
+        return "[]"
+    rounded = iter(map(float, ("%.9g " * len(flat) % tuple(flat)).split()))
+    compact = json.dumps(list(zip(rounded, rounded)))
+    # no float's repr holds "], [" or ", ", so the replaces only move the
+    # compact separators onto indented lines
+    inner = compact[2:-2].replace("], [", _PAIRS_NEXT).replace(", ", ",\n          ")
+    return _PAIRS_OPEN + inner + _PAIRS_CLOSE
 
 
 def _svg_coords(v: float) -> str:
@@ -263,7 +285,6 @@ def write_svg(path: str, curves: list) -> None:
     ml, mr, mt, mb = 70, 25, 25, 55
     xmax = ymax = 0.0
     for _, region in curves:
-        _check_emitted_boundary(region)
         if region.boundary.size:
             xmax = max(xmax, float(np.max(region.boundary[:, 0])))
             ymax = max(ymax, float(np.max(region.boundary[:, 1])))
@@ -359,6 +380,8 @@ def cmd_region(cfg: RunConfig) -> int:
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     os.makedirs(cfg.output, exist_ok=True)
     regions = {sel: build_region(sel, ch, cfg) for sel in cfg.selections}
+    for region in regions.values():
+        _check_emitted_boundary(region)
     tag = _channel_tag(cfg.p1, cfg.p2, cfg.b)
     written = []
     if cfg.fmt == "csv":
@@ -371,27 +394,24 @@ def cmd_region(cfg: RunConfig) -> int:
         write_svg(path, [(regions[s].provenance, regions[s]) for s in cfg.selections])
         written.append(path)
     else:
+        # the report without its vertices is a few hundred bytes; each
+        # empty boundary_bits slot takes its region's vertex block (json
+        # escapes the quotes of string values, so none can hold a slot)
         doc = {
             "params": {"p1": cfg.p1, "p2": cfg.p2, "b": cfg.b},
             "grids": _grids_dict(cfg),
             "regions": [
-                {
-                    "name": sel,
-                    "provenance": regions[sel].provenance,
-                    "boundary_bits": [
-                        [float(f"{x:.9g}"), float(f"{y:.9g}")]
-                        for x, y in regions[sel].boundary
-                    ],
-                }
+                {"name": sel, "provenance": regions[sel].provenance, "boundary_bits": []}
                 for sel in cfg.selections
             ],
         }
-        for sel in cfg.selections:
-            _check_emitted_boundary(regions[sel])
+        slot = '"boundary_bits": '
+        parts = json.dumps(doc, indent=2).split(slot + "[]")
+        blocks = [slot + _json_vertices(regions[sel].boundary) for sel in cfg.selections]
+        text = "".join(p + b for p, b in zip(parts, blocks)) + parts[-1]
         path = os.path.join(cfg.output, f"region_{tag}.json")
         with open(path, "w", newline="") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         written.append(path)
     for path in written:
         print(path)
@@ -457,6 +477,8 @@ def cmd_figure(cfg: RunConfig) -> int:
         for gain in gains
         for sel in cfg.selections
     }
+    for region in regions.values():
+        _check_emitted_boundary(region)
     written = []
     curves = []
     for gain in gains:
@@ -511,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p2", type=float, default=6.0, help="transmit power P2")
             p.add_argument("--b", type=float, default=1.0, help="interference gain")
         p.add_argument("--points", type=int, default=None,
-                       help="grid points per sweep parameter (default 201; 101 for g)")
+                       help=f"grid points per sweep parameter (default {DEFAULT_GRID}; "
+                            f"{DEFAULT_G_GRID} per parameter for g)")
         p.add_argument("--cov-points", type=int, default=DEFAULT_COV_GRID,
                        help="points per covariance-split dimension (default 41)")
         p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS,

@@ -31,6 +31,10 @@ from .model import ChannelParams, Pentagon
 #: Default number of grid points per sweep parameter.
 DEFAULT_GRID = 201
 
+#: Default points per parameter of the three-parameter family g (and the
+#: CLI's for g): 101**3 is about 1M pentagons, 201**3 would be 8.1M.
+DEFAULT_G_GRID = 101
+
 #: Most pentagons one slab of the rate-splitting family holds: the family
 #: is evaluated and pruned slab by slab, so this bounds its memory.
 _SLAB_PENTAGONS = 2**16
@@ -256,9 +260,9 @@ def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
 
 def g_region(
     ch: ChannelParams,
-    n_alpha: int = DEFAULT_GRID,
-    n_beta: int = DEFAULT_GRID,
-    n_theta: int = DEFAULT_GRID,
+    n_alpha: int = DEFAULT_G_GRID,
+    n_beta: int = DEFAULT_G_GRID,
+    n_theta: int = DEFAULT_G_GRID,
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the full rate-splitting family: both coding orders, all splits."""

@@ -1,5 +1,8 @@
 """Command-line frontend: exit codes, file schemas, figure presets."""
 
+import dataclasses
+import inspect
+import io
 import json
 import math
 import os
@@ -14,6 +17,7 @@ from cograte import cli, gaussian
 from cograte.cli import RunConfig, main
 from cograte.model import ChannelParams
 from cograte.gaussian import g_region
+from cograte.geometry import ConvexRegion
 
 
 def hl2(x):
@@ -30,6 +34,33 @@ def read_csv(path):
     lines = raw.decode().strip().split("\n")
     assert lines[0] == "r1_bits,r2_bits"
     return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def largest_admitted(admitted):
+    """Largest float x >= 0 with admitted(x), and the float after it, for a
+    predicate that holds up to some x and fails past it."""
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    # bisect on the bit patterns, which order nonnegative floats
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(as_float(mid)) else (lo, mid)
+    return as_float(lo), as_float(hi)
+
+
+def record_regions(monkeypatch):
+    """Record every region cli.build_region returns, by selection."""
+    built = {}
+    build = cli.build_region
+
+    def recorded(sel, ch, cfg):
+        built[sel] = build(sel, ch, cfg)
+        return built[sel]
+
+    monkeypatch.setattr(cli, "build_region", recorded)
+    return built
 
 
 class TestRunConfig:
@@ -58,6 +89,12 @@ class TestRunConfig:
     def test_compare_needs_two_selections(self):
         with pytest.raises(ValueError, match="at least 2 distinct"):
             RunConfig(command="compare", p1=6, p2=6, b=2, selections=("g2",))
+
+    def test_g_library_default_is_the_cli_default(self):
+        cfg = RunConfig(command="region", p1=6, p2=6, b=2, selections=("g",))
+        params = inspect.signature(g_region).parameters
+        defaults = [params[n].default for n in ("n_alpha", "n_beta", "n_theta")]
+        assert defaults == [cli._points("g", cfg)] * 3 == [gaussian.DEFAULT_G_GRID] * 3
 
 
 class TestExitCodes:
@@ -171,14 +208,6 @@ class TestExitCodes:
                 return False
             return True
 
-        def as_float(bits):
-            return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-        # bisect on the bit patterns, which order nonnegative floats
-        lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if admitted(as_float(mid)) else (lo, mid)
         def run(x):
             edge = {**fixed, vary: x}
             return main(["region", "--select", ",".join(cli.SELECTIONS),
@@ -186,15 +215,16 @@ class TestExitCodes:
                          "--output", str(tmp_path),
                          *(f"--{k}={v!r}" for k, v in edge.items())])
 
-        assert run(as_float(lo)) == 0, capsys.readouterr().err
+        lo, hi = largest_admitted(admitted)
+        assert run(lo) == 0, capsys.readouterr().err
         for path in capsys.readouterr().out.split():
             assert np.all(np.isfinite(read_csv(path)))
         # one float further the received total is still finite, so the
         # refusal comes from the products the families form
-        refused = {**fixed, vary: as_float(hi)}
+        refused = {**fixed, vary: hi}
         amplitude = refused["b"] * math.sqrt(refused["p1"]) + math.sqrt(refused["p2"])
         assert math.isfinite(amplitude ** 2 + refused["b"] ** 2 * refused["p1"] + 1.0)
-        assert run(as_float(hi)) == 2
+        assert run(hi) == 2
         assert "received power overflows" in capsys.readouterr().err
 
     def test_non_finite_pentagon_bound_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -217,6 +247,26 @@ class TestExitCodes:
         code = main(["region", "--p1", "1e-20", "--p2", "1e9", "--b", "1e6",
                      "--select", "bcdms", "--output", str(tmp_path), *SMALL])
         assert code == 0
+        (path,) = tmp_path.glob("bcdms_*.csv")
+        pts = read_csv(path)
+        assert len(pts) >= 2
+        assert np.all(np.isfinite(pts)) and np.all(pts >= 0.0)
+
+    def test_bcdms_at_the_largest_admitted_equal_powers_is_finite(self, tmp_path, capsys):
+        # at c_tot = -sqrt(p1*p2) and b = 1 the sum bound's b*b*p1 +
+        # 2*b*c_tot + p2 is 0 up to roundoff of p1 + p2, which once dwarfed
+        # the 1 of the log argument
+        def admitted(p):
+            try:
+                RunConfig(command="region", p1=p, p2=p, b=1.0, selections=("bcdms",))
+            except ValueError:
+                return False
+            return True
+
+        p, _ = largest_admitted(admitted)
+        code = main(["region", f"--p1={p!r}", f"--p2={p!r}", "--b", "1",
+                     "--select", "bcdms", "--output", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
         (path,) = tmp_path.glob("bcdms_*.csv")
         pts = read_csv(path)
         assert len(pts) >= 2
@@ -309,6 +359,124 @@ class TestRegionCommand:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") >= 2
         assert 'width="800"' in svg and 'height="600"' in svg
+
+
+def json_report_reference(cfg: RunConfig, regions: dict) -> str:
+    """The region report as json.dump(indent=2) writes it."""
+    doc = {
+        "params": {"p1": cfg.p1, "p2": cfg.p2, "b": cfg.b},
+        "grids": {"points": cfg.n_points, "cov_points": cfg.n_cov,
+                  "directions": cfg.n_directions},
+        "regions": [
+            {
+                "name": sel,
+                "provenance": regions[sel].provenance,
+                "boundary_bits": [
+                    [float(f"{x:.9g}"), float(f"{y:.9g}")]
+                    for x, y in regions[sel].boundary
+                ],
+            }
+            for sel in cfg.selections
+        ],
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+def csv_reference(region: ConvexRegion) -> str:
+    lines = ["r1_bits,r2_bits"]
+    lines += [f"{x:.9g},{y:.9g}" for x, y in region.boundary]
+    return "\n".join(lines) + "\n"
+
+
+class TestReportWriter:
+    def check_bytes(self, argv, built, capsys):
+        """Compare every file a region run wrote with its reference."""
+        cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+        for path in capsys.readouterr().out.split():
+            raw = Path(path).read_bytes()
+            if cfg.fmt == "json":
+                assert raw.decode() == json_report_reference(cfg, built)
+                # the report is a fixed point of load and dump
+                with open(path) as fh:
+                    assert json.dumps(json.load(fh), indent=2) + "\n" == raw.decode()
+            else:
+                sel = Path(path).name.split("_")[0]
+                assert raw.decode() == csv_reference(built[sel])
+
+    @pytest.mark.parametrize("p1, p2", [(6.0, 6.0), (6.0, 0.0), (1e-3, 50.0)])
+    @pytest.mark.parametrize("b", [0.0, 1.3628, 3.3628, 1e3])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_family_matches_the_reference_bytes(
+            self, fmt, b, p1, p2, tmp_path, monkeypatch, capsys):
+        built = record_regions(monkeypatch)
+        argv = ["region", f"--p1={p1!r}", f"--p2={p2!r}", f"--b={b!r}",
+                "--select", ",".join(cli.SELECTIONS), "--format", fmt,
+                "--points", "9", "--cov-points", "5", "--directions", "61",
+                "--output", str(tmp_path)]
+        assert main(argv) == 0
+        self.check_bytes(argv, built, capsys)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_extreme_values_and_a_one_vertex_boundary(
+            self, fmt, tmp_path, monkeypatch, capsys):
+        # exponent forms json writes as e-05, e+16 and e-300, an axis-end
+        # 0.0, more than 9 significant digits, an all-zero region and one
+        # without vertices
+        s = math.sqrt(0.5)
+        dirs = np.array([[1.0, 0.0], [s, s], [0.0, 1.0]])
+        regions = {
+            "g2": ConvexRegion(dirs, np.full(3, 4e16), np.array(
+                [[1.23456789012e16, 0.0], [12345.678901234, 8.64026087123e-05],
+                 [1e-300, 3.0000000004e-5], [0.0, 2.5e16]]), "wide"),
+            "co1": ConvexRegion(dirs, np.zeros(3), np.zeros((1, 2)), "point"),
+            "g3p": ConvexRegion(dirs, np.zeros(3), np.zeros((0, 2)), "empty"),
+        }
+        monkeypatch.setattr(cli, "build_region", lambda sel, ch, cfg: regions[sel])
+        argv = ["region", "--select", "g2,co1,g3p", "--format", fmt,
+                "--output", str(tmp_path)]
+        assert main(argv) == 0
+        self.check_bytes(argv, regions, capsys)
+
+    def test_figure_checks_each_region_once(self, tmp_path, monkeypatch, capsys):
+        checked = []
+        check = cli._check_emitted_boundary
+
+        def counted(region):
+            checked.append(region)
+            check(region)
+
+        monkeypatch.setattr(cli, "_check_emitted_boundary", counted)
+        code = main(["figure", "fig3", "--points", "11", "--directions", "91",
+                     "--output", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        sels, gains, _ = cli.FIGURES["fig3"]
+        assert len(checked) == len({id(r) for r in checked}) == len(sels) * len(gains)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_escaped_vertex_exits_3_before_any_file(
+            self, fmt, tmp_path, monkeypatch, capsys):
+        build = cli.build_region
+
+        def pushed(sel, ch, cfg):
+            region = build(sel, ch, cfg)
+            if sel != "co1":
+                return region
+            # a tight vertex moved by (1e-6, 1e-6) leaves every halfplane
+            # it touches by at least 1e-6 bits
+            boundary = region.boundary.copy()
+            boundary[len(boundary) // 2] += 1e-6
+            return dataclasses.replace(region, boundary=boundary)
+
+        monkeypatch.setattr(cli, "build_region", pushed)
+        out = tmp_path / "out"
+        code = main(["region", "--p1", "6", "--p2", "6", "--b", "1.3628",
+                     "--select", "g3p,co1", "--format", fmt, "--output", str(out), *SMALL])
+        assert code == 3
+        assert "escapes its region" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestCompareCommand:
