@@ -29,17 +29,12 @@ from .dmc import (
 from .gaussian import (
     b_condition,
     b_star,
-    capacity_pentagon,
     capacity_region,
     g1_region,
-    g2_pentagon,
     g2_region,
     g3_pentagon,
-    g3p_pentagon,
     g3p_region,
     g_region,
-    ga_pentagon,
-    gb_pentagon,
     lambda_opt,
 )
 from .geometry import (
@@ -67,7 +62,6 @@ __all__ = [
     "b_condition",
     "b_star",
     "bcdms_region",
-    "capacity_pentagon",
     "capacity_region",
     "check_high_interference",
     "co1_pentagon",
@@ -81,14 +75,10 @@ __all__ = [
     "eval_region_R2",
     "eval_region_R3",
     "g1_region",
-    "g2_pentagon",
     "g2_region",
     "g3_pentagon",
-    "g3p_pentagon",
     "g3p_region",
     "g_region",
-    "ga_pentagon",
-    "gb_pentagon",
     "hull_of_union",
     "intersect",
     "lambda_opt",

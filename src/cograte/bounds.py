@@ -17,7 +17,8 @@ covariance (p1_priv, p2_priv, c_priv); it is feasible when the private and
 the common covariances are both positive semidefinite.  Rates follow the
 scalar reductions along the receive vectors h1 = (1, 0) and h2 = (b, 1).
 Only the largest-r2 pentagon of each (p1_priv, c_tot) reaches the hull: the
-others lie inside it.
+others lie inside it, so the hull gets one slab of at most n_grid**2
+pentagons.
 """
 
 from __future__ import annotations
@@ -66,13 +67,15 @@ def co1_region(
     )
 
 
-def _bcdms_slabs(ch: ChannelParams, n_grid: int):
-    """Maximal bcdms pentagons of the covariance-split grid, one slab per c_tot.
+def _bcdms_slab(ch: ChannelParams, n_grid: int):
+    """Maximal bcdms pentagons of the covariance-split grid, as one slab.
 
     For fixed (p1_priv, c_tot) the r1 and sum bounds are fixed, and a
     pentagon grows with its r2 bound, so of all PSD-feasible (p2_priv,
-    c_priv) splits only the largest r2 can reach the hull.  Each slab holds
-    one pentagon per p1_priv with a feasible split.
+    c_priv) splits only the largest r2 can reach the hull.  The slab holds
+    one pentagon per (c_tot, p1_priv) with a feasible split, c_tot-major:
+    at most n_grid**2.  Each c_tot masks the 3-D private grid on its own,
+    so the 4-D grid is never formed.
     """
     p1, p2, b = ch.p1, ch.p2, ch.b
     c_max = np.sqrt(p1 * p2)
@@ -104,12 +107,15 @@ def _bcdms_slabs(ch: ChannelParams, n_grid: int):
     np.log2(r2_grid, out=r2_grid)
     r2_grid *= 0.5
     spread = (b * np.sqrt(p1) - np.sqrt(p2)) ** 2
+    common_room = (p1 - a) * (p2 - d) + tol
+    parts = []
     for ct in c_tots:
-        ok = priv_psd & ((ct - c) ** 2 <= (p1 - a) * (p2 - d) + tol)
+        ok = priv_psd & ((ct - c) ** 2 <= common_room)
         rows = np.any(ok, axis=(1, 2))
         r2 = np.max(r2_grid, axis=(1, 2), where=ok, initial=-np.inf)[rows]
         s = 0.5 * np.log2(1.0 + spread + 2.0 * b * (ct + c_max))
-        yield r1[rows], r2, np.full(r2.size, s)
+        parts.append((r1[rows], r2, np.full(r2.size, s)))
+    return tuple(np.concatenate(bounds) for bounds in zip(*parts))
 
 
 def bcdms_region(
@@ -121,7 +127,7 @@ def bcdms_region(
     if n_grid < 2:
         raise ValueError(f"covariance grid needs at least 2 points, got {n_grid}")
     return hull_of_slabs(
-        _bcdms_slabs(ch, n_grid),
+        [_bcdms_slab(ch, n_grid)],
         n_directions,
         provenance=f"bcdms(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

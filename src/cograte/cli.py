@@ -130,6 +130,15 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
         for gain in (self.b, *self.b_list):
             _check_received_power(self.p1, self.p2, gain)
+        # figure files are named by the {b:g} tag, so two gains sharing it
+        # would overwrite each other's curves
+        tags = [f"b{g:g}" for g in self.b_list]
+        for i, tag in enumerate(tags):
+            if tag in tags[:i]:
+                raise ValueError(
+                    f"gains {self.b_list[tags.index(tag)]!r} and {self.b_list[i]!r} "
+                    f"share the file tag {tag!r}; give gains that round apart at "
+                    f"6 significant digits")
         if self.n_points is not None and self.n_points < 2:
             raise ValueError("grids need at least 2 points")
         if self.n_cov < 2:

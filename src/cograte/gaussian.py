@@ -18,7 +18,8 @@ All parameters are power splits in [0, 1]; alpha divides the cognitive
 power between its own message (alpha) and relaying the primary's (1-alpha).
 Every family hands its bounds to ``geometry.hull_of_slabs``: the one-parameter
 families as one slab, ``g`` and ``g1`` as slabs of whole alpha rows, each
-pruned before the next is evaluated, so their memory is bounded by one slab.
+joining one running prune before the next is evaluated, so their memory is
+bounded by one slab and the survivors so far.
 """
 
 from __future__ import annotations
@@ -154,30 +155,6 @@ def _capacity_arrays(ch: ChannelParams, alpha):
     return r1, s.copy(), s
 
 
-def ga_pentagon(ch: ChannelParams, alpha: float, beta: float, theta: float) -> Pentagon:
-    """Pentagon of the first dirty-paper-coding order at one (alpha, beta, theta)."""
-    a = _check_unit("alpha", alpha)
-    b = _check_unit("beta", beta)
-    t = _check_unit("theta", theta)
-    r1, r2, s = _ga_arrays(ch, a, b, t)
-    return Pentagon(float(r1), float(r2), float(s))
-
-
-def gb_pentagon(ch: ChannelParams, alpha: float, beta: float) -> Pentagon:
-    """Pentagon of the second dirty-paper-coding order at one (alpha, beta)."""
-    a = _check_unit("alpha", alpha)
-    b = _check_unit("beta", beta)
-    r1, r2, s = _gb_arrays(ch, a, b)
-    return Pentagon(float(r1), float(r2), float(s))
-
-
-def g2_pentagon(ch: ChannelParams, alpha: float) -> Pentagon:
-    """Pentagon of the superposition-only scheme at one alpha."""
-    a = _check_unit("alpha", alpha)
-    r1, r2, s = _g2_arrays(ch, a)
-    return Pentagon(float(r1), float(r2), float(s))
-
-
 def g3_pentagon(ch: ChannelParams, alpha: float, lam: float) -> Pentagon:
     """Pentagon of the precoded-common-message scheme at one (alpha, lam).
 
@@ -196,28 +173,6 @@ def lambda_opt(ch: ChannelParams, alpha: float) -> float:
     """Precoding coefficient that maximizes the first g3 bound at this alpha."""
     a = float(_check_unit("alpha", alpha))
     return float(np.sqrt(a * (1.0 - a)) * ch.p1 / (a * ch.p1 + 1.0))
-
-
-def g3p_pentagon(ch: ChannelParams, alpha: float) -> Pentagon:
-    """g3 pentagon at the optimal coefficient, via the simplified closed forms.
-
-    Coincides with ``g3_pentagon(ch, alpha, lambda_opt(ch, alpha))`` to well
-    below 1e-9 bits.
-    """
-    a = _check_unit("alpha", alpha)
-    r1, r2, s = _g3p_arrays(ch, a)
-    return Pentagon(float(r1), float(r2), float(s))
-
-
-def capacity_pentagon(ch: ChannelParams, alpha: float) -> Pentagon:
-    """Two-constraint capacity pentagon at one alpha (r2_max = sum_max).
-
-    Computed for any channel; it describes the capacity region only when
-    1 <= ch.b <= b_star(ch), which the caller checks via ``b_star``.
-    """
-    a = _check_unit("alpha", alpha)
-    r1, r2, s = _capacity_arrays(ch, a)
-    return Pentagon(float(r1), float(r2), float(s))
 
 
 def b_star(ch: ChannelParams) -> float:

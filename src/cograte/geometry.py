@@ -8,8 +8,8 @@ maximum itself is located on the convex chain of the kept top corners, so
 each direction evaluates only the few pentagons whose corners lie on or
 within roundoff of its support line, and the result is the same float as
 the max over every pentagon.  Every hull is built by hull_of_slabs, which
-takes a union as slabs: each slab is pruned on its own, and only its
-survivors are kept while the next slab is evaluated.
+takes a union as slabs: each slab joins the survivors so far in one running
+prune, so only those survivors are held while the next slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
@@ -384,37 +384,32 @@ def hull_of_slabs(
     The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
     at a time.  Bounds must be finite, as in Pentagon; ValueError names the
     count of NaN or infinite bounds over all slabs.  Each slab drops its
-    empty pentagons (any negative bound) and then the pentagons without a
-    top corner that no other corner of the slab beats, so only its
-    survivors are held while the next slab is evaluated.  Raises ValueError
-    when no pentagon is non-empty.  The maxima of a union are the maxima of
-    the union of each part's maxima, so when more than one slab contributed,
-    one more prune over the survivors keeps the same pentagons as one prune
-    over the whole union.  The support at each direction is exactly the max
-    of the member supports.
+    empty pentagons (any negative bound) and joins the survivors so far,
+    and of these the pentagons without a top corner that no other corner
+    beats are dropped, so only the survivors are held while the next slab
+    is evaluated.  Beating is transitive, so every beaten corner is beaten
+    by a survivor, and this keeps the same pentagons, in the same order, as
+    one prune over the whole union.  Raises ValueError when no pentagon is
+    non-empty.  The support at each direction is exactly the max of the
+    member supports.
     """
     bad = 0
-    kept = []
-    for r1, r2, s in slabs:
-        r1, r2, s = (np.asarray(v, dtype=float).ravel() for v in (r1, r2, s))
-        bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
+    r1 = r2 = s = np.empty(0)
+    for slab in slabs:
+        slab = [np.asarray(v, dtype=float).ravel() for v in slab]
+        bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in slab)
         if bad:
             continue
         # an empty pentagon has no support, but the kernel's closed form
         # would give it one, so it must not survive the prune
-        live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
-        r1, r2, s = r1[live], r2[live], s[live]
-        own = _owns_undominated_corner(r1, r2, s)
-        if np.any(own):
-            kept.append((r1[own], r2[own], s[own]))
-    if bad:
-        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
-    if not kept:
-        raise ValueError("all pentagons are empty; nothing to hull")
-    r1, r2, s = (np.concatenate(parts) for parts in zip(*kept))
-    if len(kept) > 1:
+        live = (slab[0] >= 0.0) & (slab[1] >= 0.0) & (slab[2] >= 0.0)
+        r1, r2, s = (np.concatenate([kept, v[live]]) for kept, v in zip((r1, r2, s), slab))
         own = _owns_undominated_corner(r1, r2, s)
         r1, r2, s = r1[own], r2[own], s[own]
+    if bad:
+        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
+    if not r1.size:
+        raise ValueError("all pentagons are empty; nothing to hull")
     dirs = quadrant_directions(n_directions)
     support = support_max_over_pentagons(r1, r2, s, dirs)
     return ConvexRegion.from_support(dirs, support, provenance)

@@ -126,19 +126,19 @@ class TestBcdmsRegion:
     def test_infeasible_split_rejected(self):
         # grid {0, 6} per power and {-6, 6} per covariance: a full-magnitude
         # covariance needs both private powers at 6 and c_priv = c_tot, so
-        # p1_priv = 0 has no feasible split and yields no pentagon
+        # p1_priv = 0 has no feasible split and yields no pentagon, so the
+        # slab holds one pentagon per c_tot
         b = 1.5
-        slabs = list(bounds._bcdms_slabs(ChannelParams(6, 6, b), n_grid=2))
-        assert len(slabs) == 2
-        for (r1, r2, s), ct in zip(slabs, (-6.0, 6.0)):
-            assert r1.tolist() == [0.0]
-            assert r2.tolist() == [hl2(1 + 6 * b * b + 2 * b * ct + 6)]
-            assert s.tolist() == [hl2(1 + 6 * b * b + 2 * b * ct + 6)]
+        r1, r2, s = bounds._bcdms_slab(ChannelParams(6, 6, b), n_grid=2)
+        expect = [hl2(1 + 6 * b * b + 2 * b * ct + 6) for ct in (-6.0, 6.0)]
+        assert r1.tolist() == [0.0, 0.0]
+        assert r2.tolist() == expect
+        assert s.tolist() == expect
 
     def test_pentagon_formulas_on_scalar_channel(self):
-        # P2 = 0 leaves one split per p1_priv, so the one slab is the grid
-        (slab,) = bounds._bcdms_slabs(CH_SCALAR, n_grid=41)
-        r1, r2, s = (x.tolist() for x in slab)
+        # P2 = 0 leaves one c_tot and one split per p1_priv, so the slab is
+        # the grid
+        r1, r2, s = (x.tolist() for x in bounds._bcdms_slab(CH_SCALAR, n_grid=41))
         assert len(r1) == len(r2) == len(s) == 41
         silent, full = (r1[0], r2[0], s[0]), (r1[-1], r2[-1], s[-1])
         assert silent == pytest.approx((hl2(7), 0.0, hl2(25)), abs=1e-12)
@@ -190,6 +190,22 @@ class TestBcdmsMaximalPentagons:
         assert np.abs(reg.support - ref.support).max() <= 2e-15
         assert reg.boundary.shape == ref.boundary.shape
         assert np.abs(reg.boundary - ref.boundary).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_grid", [5, 11, 41])
+    @pytest.mark.parametrize("b", [1.3628, 3.3628])
+    def test_one_slab_matches_a_slab_per_c_tot(self, b, n_grid):
+        # the slab is c_tot-major and its sum bound grows with c_tot, so it
+        # splits into the pentagons of each c_tot; streamed through the
+        # running prune, those give the same floats as the one slab
+        ch = ChannelParams(6, 6, b)
+        r1, r2, s = bounds._bcdms_slab(ch, n_grid)
+        cuts = np.flatnonzero(np.diff(s)) + 1
+        per_c_tot = list(zip(*(np.split(v, cuts) for v in (r1, r2, s))))
+        assert len(per_c_tot) == n_grid
+        reg = bcdms_region(ch, n_grid, 181)
+        streamed = hull_of_slabs(per_c_tot, 181)
+        assert np.array_equal(reg.support, streamed.support)
+        assert np.array_equal(reg.boundary, streamed.boundary)
 
 
 class TestCo2Region:

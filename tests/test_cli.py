@@ -569,6 +569,24 @@ class TestFigureCommand:
             "fig3_g_b1.3628.csv",
         ]
 
+    @pytest.mark.parametrize("gains, tag", [
+        (["1.3627702", "1.3627703"], "b1.36277"),
+        (["2", "2"], "b2"),
+    ], ids=["same-tag", "exact-duplicate"])
+    def test_gains_sharing_a_file_tag_are_refused(self, gains, tag, tmp_path,
+                                                 monkeypatch, capsys):
+        def built(*args, **kwargs):
+            raise AssertionError("a region was built")
+
+        monkeypatch.setattr(cli, "build_region", built)
+        out = tmp_path / "out"
+        argv = ["figure", "fig2", *(f"--b={g}" for g in gains), "--output", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"share the file tag '{tag}'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_fig5_extreme_case_setting(self, tmp_path, capsys):
         code = main(["figure", "fig5", "--points", "51", "--cov-points", "15",
                      "--directions", "181", "--output", str(tmp_path)])

@@ -6,22 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cograte.model import ChannelParams
+from cograte.model import ChannelParams, Pentagon
 from cograte.bounds import co1_pentagon
 from cograte.gaussian import (
+    _capacity_arrays,
+    _g2_arrays,
+    _g3p_arrays,
+    _ga_arrays,
+    _gb_arrays,
     b_condition,
     b_star,
-    capacity_pentagon,
     capacity_region,
     g1_region,
-    g2_pentagon,
     g2_region,
     g3_pentagon,
-    g3p_pentagon,
     g3p_region,
     g_region,
-    ga_pentagon,
-    gb_pentagon,
     lambda_opt,
 )
 from cograte import gaussian
@@ -36,78 +36,64 @@ CH = ChannelParams(6.0, 6.0, 1.3628)
 CH2 = ChannelParams(6.0, 6.0, 2.0)
 
 
-class TestGaPentagon:
+class TestGaArrays:
     def test_all_power_on_own_message(self):
         # alpha=1, beta=1: private cognitive signal only, no relaying
-        for theta in (0.0, 0.3, 1.0):
-            p = ga_pentagon(CH, alpha=1.0, beta=1.0, theta=theta)
-            assert p.r1_max == pytest.approx(hl2(7), abs=1e-12)
-            assert p.r2_max == pytest.approx(hl2(7), abs=1e-12)
-            assert p.sum_max == pytest.approx(
-                hl2(1 + 6 + CH.b**2 * 6), abs=1e-12
-            )
+        r1, r2, s = _ga_arrays(CH, 1.0, 1.0, np.array([0.0, 0.3, 1.0]))
+        assert r1 == pytest.approx(hl2(7), abs=1e-12)
+        assert r2 == pytest.approx(hl2(7), abs=1e-12)
+        assert s == pytest.approx(hl2(1 + 6 + CH.b**2 * 6), abs=1e-12)
 
     def test_alpha_zero_kills_r1(self):
         for b in (1.0, 2.0):
-            p = ga_pentagon(ChannelParams(6, 6, b), alpha=0.0, beta=0.7, theta=0.4)
-            assert p.r1_max == 0.0
+            r1, _, _ = _ga_arrays(ChannelParams(6, 6, b), 0.0, 0.7, 0.4)
+            assert r1 == 0.0
 
     def test_p1_zero_channel(self):
-        p = ga_pentagon(ChannelParams(0, 6, 2), alpha=0.5, beta=0.5, theta=0.5)
-        assert p.r1_max == 0.0
-        assert p.r2_max == pytest.approx(hl2(7), abs=1e-12)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ga_pentagon(CH, alpha=1.2, beta=0.5, theta=0.5)
-        with pytest.raises(ValueError):
-            ga_pentagon(CH, alpha=0.5, beta=-0.1, theta=0.5)
-        with pytest.raises(ValueError):
-            ga_pentagon(CH, alpha=0.5, beta=0.5, theta=float("nan"))
+        r1, r2, _ = _ga_arrays(ChannelParams(0, 6, 2), 0.5, 0.5, 0.5)
+        assert r1 == 0.0
+        assert r2 == pytest.approx(hl2(7), abs=1e-12)
 
 
-class TestGbPentagon:
+class TestGbArrays:
     def test_full_relay_split(self):
         # alpha=1, beta=0: all cognitive power carries the primary message
-        p = gb_pentagon(CH2, alpha=1.0, beta=0.0)
-        assert p.r1_max == pytest.approx(hl2(7), abs=1e-12)
-        assert p.r2_max == pytest.approx(hl2(1 + 6 / 25), abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(1 + 6 / 25) + hl2(7), abs=1e-12)
+        r1, r2, s = _gb_arrays(CH2, 1.0, 0.0)
+        assert r1 == pytest.approx(hl2(7), abs=1e-12)
+        assert r2 == pytest.approx(hl2(1 + 6 / 25), abs=1e-12)
+        assert s == pytest.approx(hl2(1 + 6 / 25) + hl2(7), abs=1e-12)
 
     def test_alpha_zero_beamforms(self):
-        p = gb_pentagon(CH2, alpha=0.0, beta=0.3)
-        assert p.r1_max == 0.0
-        assert p.r2_max == pytest.approx(hl2(1 + (2 * math.sqrt(6) + math.sqrt(6)) ** 2), abs=1e-12)
+        r1, r2, _ = _gb_arrays(CH2, 0.0, 0.3)
+        assert r1 == 0.0
+        assert r2 == pytest.approx(hl2(1 + (2 * math.sqrt(6) + math.sqrt(6)) ** 2), abs=1e-12)
 
     def test_relay_without_secondary_power(self):
-        p = gb_pentagon(ChannelParams(6, 0, 1), alpha=0.5, beta=1.0)
-        assert p.r2_max == pytest.approx(1.0, abs=1e-12)
+        _, r2, _ = _gb_arrays(ChannelParams(6, 0, 1), 0.5, 1.0)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
 
 
-class TestG2Pentagon:
+class TestG2Arrays:
     def test_alpha_one(self):
-        p = g2_pentagon(CH2, alpha=1.0)
-        assert p.r1_max == pytest.approx(hl2(7), abs=1e-12)
-        assert p.r2_max == pytest.approx(hl2(7), abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(31), abs=1e-12)
+        r1, r2, s = _g2_arrays(CH2, 1.0)
+        assert r1 == pytest.approx(hl2(7), abs=1e-12)
+        assert r2 == pytest.approx(hl2(7), abs=1e-12)
+        assert s == pytest.approx(hl2(31), abs=1e-12)
 
     def test_alpha_zero(self):
-        p = g2_pentagon(CH2, alpha=0.0)
-        assert p.r1_max == 0.0
-        assert p.r2_max == pytest.approx(hl2(55), abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(55), abs=1e-12)
+        r1, r2, s = _g2_arrays(CH2, 0.0)
+        assert r1 == 0.0
+        assert r2 == pytest.approx(hl2(55), abs=1e-12)
+        assert s == pytest.approx(hl2(55), abs=1e-12)
 
     def test_p1_zero(self):
-        p = g2_pentagon(ChannelParams(0, 9, 3), alpha=0.7)
-        assert p.r1_max == 0.0
-        assert p.r2_max == pytest.approx(hl2(10), abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(10), abs=1e-12)
+        r1, r2, s = _g2_arrays(ChannelParams(0, 9, 3), 0.7)
+        assert r1 == 0.0
+        assert r2 == pytest.approx(hl2(10), abs=1e-12)
+        assert s == pytest.approx(hl2(10), abs=1e-12)
 
     def test_monotone_in_alpha(self):
-        alphas = np.linspace(0.0, 1.0, 101)
-        pens = [g2_pentagon(CH, a) for a in alphas]
-        r1 = np.array([p.r1_max for p in pens])
-        r2 = np.array([p.r2_max for p in pens])
+        r1, r2, _ = _g2_arrays(CH, np.linspace(0.0, 1.0, 101))
         assert np.all(np.diff(r1) >= 0)
         assert np.all(np.diff(r2) <= 0)
 
@@ -145,46 +131,46 @@ class TestLambdaOpt:
         assert lambda_opt(ChannelParams(6, 3, 1.1), 0.5) == pytest.approx(0.75, abs=1e-15)
 
 
-class TestG3pPentagon:
+class TestG3pArrays:
     def test_max_r2_corner_at_threshold_gain(self):
         b = math.sqrt(13 / 7)
-        p = g3p_pentagon(ChannelParams(6, 6, b), alpha=0.0)
-        assert p.r1_max == 0.0
+        r1, _, s = _g3p_arrays(ChannelParams(6, 6, b), 0.0)
+        assert r1 == 0.0
         expect = hl2((b * math.sqrt(6) + math.sqrt(6)) ** 2 + 1)
-        assert p.sum_max == pytest.approx(expect, abs=1e-12)
+        assert s == pytest.approx(expect, abs=1e-12)
 
     def test_alpha_one(self):
-        p = g3p_pentagon(CH2, alpha=1.0)
-        assert p.r1_max == pytest.approx(hl2(7), abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(6 + 4 * 6 + 1), abs=1e-12)
+        r1, _, s = _g3p_arrays(CH2, 1.0)
+        assert r1 == pytest.approx(hl2(7), abs=1e-12)
+        assert s == pytest.approx(hl2(6 + 4 * 6 + 1), abs=1e-12)
 
     def test_p1_zero(self):
-        assert g3p_pentagon(ChannelParams(0, 6, 2), alpha=0.4).r1_max == 0.0
+        assert _g3p_arrays(ChannelParams(0, 6, 2), 0.4)[0] == 0.0
 
     @pytest.mark.parametrize("b", [1e4, 1e8, 1e10, 1e100])
     def test_r2_keeps_its_digits_at_huge_gains(self, b):
         # at alpha=1 nothing is relayed and r2 is exactly hl2(1 + P2),
         # however loud the cognitive signal is at receiver 2
-        assert g3p_pentagon(ChannelParams(6, 6, b), 1.0).r2_max == pytest.approx(
+        assert _g3p_arrays(ChannelParams(6, 6, b), 1.0)[1] == pytest.approx(
             hl2(7), abs=1e-12)
 
 
-class TestCapacityPentagon:
+class TestCapacityArrays:
     def test_alpha_one_unit_gain(self):
-        p = capacity_pentagon(ChannelParams(6, 6, 1), alpha=1.0)
-        assert p.r1_max == pytest.approx(hl2(7), abs=1e-12)
-        assert p.sum_max == pytest.approx(hl2(13), abs=1e-12)
-        assert p.r2_max == p.sum_max  # no individual R2 cap
+        r1, r2, s = _capacity_arrays(ChannelParams(6, 6, 1), 1.0)
+        assert r1 == pytest.approx(hl2(7), abs=1e-12)
+        assert s == pytest.approx(hl2(13), abs=1e-12)
+        assert r2 == s  # no individual R2 cap
 
     def test_alpha_zero_beamforming_corner(self):
-        p = capacity_pentagon(ChannelParams(6, 6, 1), alpha=0.0)
-        assert p.r1_max == 0.0
-        assert p.sum_max == pytest.approx(hl2(25), abs=1e-12)
+        r1, _, s = _capacity_arrays(ChannelParams(6, 6, 1), 0.0)
+        assert r1 == 0.0
+        assert s == pytest.approx(hl2(25), abs=1e-12)
 
     def test_p1_zero(self):
-        p = capacity_pentagon(ChannelParams(0, 4, 1), alpha=0.9)
-        assert p.r1_max == 0.0
-        assert p.sum_max == pytest.approx(hl2(5), abs=1e-12)
+        r1, _, s = _capacity_arrays(ChannelParams(0, 4, 1), 0.9)
+        assert r1 == 0.0
+        assert s == pytest.approx(hl2(5), abs=1e-12)
 
 
 class TestBStar:
@@ -214,44 +200,41 @@ class TestFamilyConsistency:
         ]
         alphas = np.linspace(0.0, 1.0, 201)
         for ch in channels:
-            for a in alphas:
+            for a, *pp in zip(alphas, *_g3p_arrays(ch, alphas)):
                 p3 = g3_pentagon(ch, a, lambda_opt(ch, a))
-                pp = g3p_pentagon(ch, a)
-                assert abs(p3.r1_max - pp.r1_max) <= 1e-9
-                assert abs(p3.r2_max - pp.r2_max) <= 1e-9
-                assert abs(p3.sum_max - pp.sum_max) <= 1e-9
+                assert abs(p3.r1_max - pp[0]) <= 1e-9
+                assert abs(p3.r2_max - pp[1]) <= 1e-9
+                assert abs(p3.sum_max - pp[2]) <= 1e-9
 
     def test_g3p_r1_closed_form_is_exact(self):
         alphas = np.linspace(0.0, 1.0, 201)
         for ch in (CH, CH2, ChannelParams(0.3, 8, 1.5)):
-            for a in alphas:
-                got = g3p_pentagon(ch, a).r1_max
-                want = hl2(1 + a * ch.p1)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            got = _g3p_arrays(ch, alphas)[0]
+            want = [hl2(1 + a * ch.p1) for a in alphas]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_g3p_meets_outer_bound_pointwise(self):
         # the rho = sqrt(1-alpha) correspondence behind the capacity proof
         alphas = np.linspace(0.0, 1.0, 201)
         for ch in (CH, ChannelParams(2, 5, 1.1)):
-            for a in alphas:
-                inner = g3p_pentagon(ch, a)
+            r1, _, s = _g3p_arrays(ch, alphas)
+            for a, inner_r1, inner_s in zip(alphas, r1, s):
                 outer = co1_pentagon(ch, rho=math.sqrt(1 - a))
-                assert abs(inner.r1_max - outer.r1_max) <= 1e-9
-                assert abs(inner.sum_max - outer.sum_max) <= 1e-9
+                assert abs(inner_r1 - outer.r1_max) <= 1e-9
+                assert abs(inner_s - outer.sum_max) <= 1e-9
 
     def test_achievable_families_never_empty(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
             ch = ChannelParams(rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(1, 4))
             a, bta, th = rng.uniform(0, 1, 3)
-            for p in (
-                ga_pentagon(ch, a, bta, th),
-                gb_pentagon(ch, a, bta),
-                g2_pentagon(ch, a),
-                g3p_pentagon(ch, a),
+            for bounds in (
+                _ga_arrays(ch, a, bta, th),
+                _gb_arrays(ch, a, bta),
+                _g2_arrays(ch, a),
+                _g3p_arrays(ch, a),
             ):
-                assert not p.is_empty()
-                assert p.r1_max >= 0 and p.r2_max >= 0 and p.sum_max >= 0
+                assert min(bounds) >= 0
 
 
 class TestLoosenessCondition:
@@ -260,17 +243,15 @@ class TestLoosenessCondition:
     # vanishes identically for every gain.
 
     @staticmethod
-    def _margin(ch, alpha):
-        p = g3p_pentagon(ch, alpha)
-        cap = capacity_pentagon(ch, alpha)
-        return p.r2_max - (cap.sum_max - cap.r1_max)
+    def _margin(ch, alphas):
+        cap_r1, _, cap_s = _capacity_arrays(ch, alphas)
+        return _g3p_arrays(ch, alphas)[1] - (cap_s - cap_r1)
 
     def test_margin_sign_tracks_condition(self):
         alphas = np.linspace(0.01, 1.0, 34)
         for b in (1.0, 1.2, b_star(CH), 2.0, 3.3628):
             ch = ChannelParams(6, 6, b)
-            for a in alphas:
-                margin = self._margin(ch, a)
+            for a, margin in zip(alphas, self._margin(ch, alphas)):
                 if b <= b_condition(ch, a) - 1e-9:
                     assert margin >= -1e-9
                 elif b >= b_condition(ch, a) + 1e-9:
@@ -287,8 +268,10 @@ class TestRegionBuilders:
         n = 21
         alphas = np.linspace(0, 1, n)
         thetas = np.linspace(0, 1, n)
-        pens = [ga_pentagon(ch, a, 0.0, t) for a in alphas for t in thetas]
-        pens += [gb_pentagon(ch, a, 0.0) for a in alphas]
+        bounds = [np.broadcast_arrays(*_ga_arrays(ch, alphas[:, None], 0.0, thetas[None, :])),
+                  _gb_arrays(ch, alphas, 0.0)]
+        pens = [Pentagon(*p) for r1, r2, s in bounds
+                for p in zip(r1.ravel().tolist(), r2.ravel().tolist(), s.ravel().tolist())]
         manual = hull_of_union(pens, n_directions=181)
         built = g1_region(ch, n_alpha=n, n_theta=n, n_directions=181)
         assert np.abs(manual.support - built.support).max() <= 1e-12

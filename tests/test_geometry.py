@@ -289,7 +289,7 @@ class TestUndominatedPentagons:
         with pytest.raises(ValueError, match="all pentagons are empty"):
             hull_of_slabs(slabs)
 
-    def test_pruning_the_slab_survivors_again_matches_one_prune(self, monkeypatch):
+    def test_running_prune_matches_one_prune(self, monkeypatch):
         rng = np.random.default_rng(5)
         r1, r2 = rng.uniform(0.0, 2.0, (2, 3000))
         s = rng.uniform(0.5, 1.0, 3000) * (r1 + r2)
