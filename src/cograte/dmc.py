@@ -22,9 +22,11 @@ variant's rate bounds, written as informations in these letters, and one
 routine evaluates them and the high-interference margin.
 
 Every evaluation runs on a batch of samples stacked along the leading axis
-s; the single-distribution API is a batch of one.  The arithmetic of each
-sample does not depend on the batch it sits in, so a random search gives
-the same bits however its samples are chunked.
+s; the single-distribution API is a batch of one.  A random search or
+check draws its samples in order from one np.random.default_rng(seed).
+Every sample takes the same number of variates and the arithmetic of each
+sample does not depend on the batch it sits in, so a search gives the same
+bits however its samples are chunked.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,21 +50,6 @@ MAX_JOINT_ENTRIES = 10**8
 #: Table entries per chunk of a random search: samples times the entries of
 #: a sample's largest table, a joint times one output alphabet.
 _CHUNK_ENTRIES = 2**18
-
-#: Most samples of one search or check: every sample index is one 32-bit word.
-_MAX_SAMPLES = 2**32
-
-#: numpy's SeedSequence hashing of its entropy into a pool of 32-bit words,
-#: and PCG64's 128-bit LCG multiplier; together they give the substream
-#: np.random.default_rng((seed, i)) of sample i.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 #: Variable name per axis letter.
 _VARS = {"u": "u1", "v": "v2", "a": "w1", "b": "w2", "c": "u", "x": "x1", "z": "x2"}
@@ -404,22 +390,21 @@ def eval_outer_co2_dmc(d: FactoredDist, ch: DmcChannel) -> Pentagon:
     return _eval_dist(d, ch, "outer")
 
 
-def _dirichlet(rngs: Iterable, n: int, shapes: list) -> list:
-    """Dirichlet(1) arrays of the given (shape, block) pairs, one sample per rng.
+def _dirichlet(rng: np.random.Generator, n: int, shapes: list) -> list:
+    """n samples of Dirichlet(1) arrays of the given (shape, block) pairs.
 
     Each block of trailing axes is one distribution; the n samples are
     stacked along a leading axis.  Bit for bit what
-    rng.dirichlet(np.ones(k), size=rows) gives per shape, in order: with
-    all-ones alpha numpy draws standard exponentials (gamma(1) variates) row
-    by row, sums each row left to right and multiplies it by the reciprocal
-    of the sum.  Here one standard_exponential call per rng fills that
-    sample's row of one preallocated array, before the next rng is taken,
-    so rngs may re-seed one Generator for each sample.
+    rng.dirichlet(np.ones(k), size=rows) gives per shape, in order, sample
+    after sample: with all-ones alpha numpy draws standard exponentials
+    (gamma(1) variates) row by row, sums each row left to right and
+    multiplies it by the reciprocal of the sum.  Here one
+    standard_exponential call draws that same run of variates for all n
+    samples; it keeps no state between calls beyond the bit generator's, so
+    drawing n samples at once or in parts gives the same bits.
     """
     counts = [math.prod(shape) for shape, _ in shapes]
-    draws = np.empty((n, sum(counts)))
-    for row, rng in zip(draws, rngs):
-        rng.standard_exponential(out=row)
+    draws = rng.standard_exponential((n, sum(counts)))
     out, lo = [], 0
     for (shape, block), count in zip(shapes, counts):
         k = math.prod(shape[len(shape) - block:])
@@ -431,11 +416,14 @@ def _dirichlet(rngs: Iterable, n: int, shapes: list) -> list:
     return out
 
 
-def _sample_factors(variant: str, sizes: dict, rngs: Iterable, n: int) -> dict:
-    """The variant's factors, one sample per rng, stacked along axis s."""
+def _sample_factors(variant: str, sizes: dict, rng: np.random.Generator, n: int) -> dict:
+    """The variant's factors for the next n samples of rng, stacked along axis s.
+
+    Sample after sample, these are the factors of n random_dist calls on rng.
+    """
     spec = _FACTORS[variant]
     shapes = [(tuple(sizes[_VARS[c]] for c in axes), block) for _, axes, block in spec]
-    return dict(zip((name for name, _, _ in spec), _dirichlet(rngs, n, shapes)))
+    return dict(zip((name for name, _, _ in spec), _dirichlet(rng, n, shapes)))
 
 
 def _alphabet_sizes(variant: str, ch: DmcChannel, aux_sizes: dict | None) -> dict:
@@ -459,112 +447,21 @@ def _alphabet_sizes(variant: str, ch: DmcChannel, aux_sizes: dict | None) -> dic
 
 
 def _chunks(n_samples: int, entries_per_sample: int) -> list:
-    """Sample index ranges of at most _CHUNK_ENTRIES table entries each."""
+    """Sample counts of consecutive chunks of at most _CHUNK_ENTRIES table entries each."""
     step = max(1, _CHUNK_ENTRIES // entries_per_sample)
-    return [range(lo, min(lo + step, n_samples)) for lo in range(0, n_samples, step)]
+    return [min(step, n_samples - lo) for lo in range(0, n_samples, step)]
 
 
 def _check_sampling(n_samples: int, seed: int) -> None:
-    """Refuse a sample count or seed that has no substream (seed, i) for every i."""
+    """Refuse a sample count below one or a seed that is not a non-negative integer.
+
+    np.random.default_rng would take None (fresh OS entropy), a Generator
+    or an array as its seed, so the seed is checked before it is used.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if n_samples > _MAX_SAMPLES:
-        raise ValueError(
-            f"n_samples must be <= 2**32 so that every sample index is one "
-            f"32-bit word, got {n_samples}"
-        )
-    _seed_words(seed)
-
-
-def _seed_words(seed: int) -> list:
-    """The 32-bit words SeedSequence reads from an integer seed, low word first."""
-    n = operator.index(seed)
-    if n < 0:
+    if operator.index(seed) < 0:
         raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_table(init: int, mult: int, n_hashes: int) -> np.ndarray:
-    """SeedSequence's hash constant over n_hashes hashes, as a uint32 column.
-
-    Hash k xors its value with row k and multiplies it by row k + 1.  The
-    constant moves the same way whatever the data, so every index shares
-    the table.
-    """
-    rows = [init]
-    for _ in range(n_hashes):
-        rows.append(rows[-1] * mult & _MASK32)
-    return np.array(rows, dtype=np.uint32)[:, None]
-
-
-def _hashmix(value: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One hash per row of table but the last, each of value or of its own row."""
-    value = (value ^ table[:-1]) * table[1:]
-    return value ^ value >> _XSHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return r ^ r >> _XSHIFT
-
-
-def _generate_states(seed: int, indices) -> np.ndarray:
-    """SeedSequence((seed, i)).generate_state(4, np.uint64) for every index i.
-
-    The entropy is the seed's words then i as one word.  numpy mixes it
-    into a pool of four words and hashes the pool, cycled, into eight
-    output words; here that runs as uint32 array arithmetic over all i at
-    once (arrays wrap silently where numpy scalars would warn).  Within one
-    source word the hashes into the other pool words do not depend on each
-    other, so each runs as one array operation.  Returns a
-    (4, len(indices)) uint64 array.
-    """
-    words = _seed_words(seed)
-    index = np.asarray(indices, dtype=np.uint32)
-    n_entropy = len(words) + 1
-    entropy = np.zeros((max(n_entropy, _POOL_SIZE), len(index)), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = index
-    n_extra = max(0, n_entropy - _POOL_SIZE)
-    table = _hash_table(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + n_extra))
-    pool = _hashmix(entropy[:_POOL_SIZE], table[:_POOL_SIZE + 1])
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], table[k:k + _POOL_SIZE]))
-        k += _POOL_SIZE - 1
-    for word in entropy[_POOL_SIZE:n_entropy]:
-        pool = _mix(pool, _hashmix(word, table[k:k + _POOL_SIZE + 1]))
-        k += _POOL_SIZE
-    out = _hashmix(pool[np.arange(8) % _POOL_SIZE], _hash_table(_INIT_B, _MULT_B, 8))
-    out = out.astype(np.uint64)
-    # each uint64 is a little-endian pair of words
-    return out[0::2] | out[1::2] << np.uint64(32)
-
-
-def _substreams(seed: int, indices) -> Iterator[np.random.Generator]:
-    """The PRNG of each sample index i: np.random.default_rng((seed, i)), bit for bit.
-
-    PCG64 seeds itself from generate_state(4, uint64) as initstate (words
-    0, 1) and initseq (words 2, 3): inc = 2*initseq + 1 and state =
-    (initstate + inc)*MULT + inc, mod 2**128.  The states are derived for
-    every index at once, then set in turn on one Generator, which is
-    yielded once per index: draw from it before taking the next.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, q_hi, q_lo in zip(*_generate_states(seed, indices).tolist()):
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
-        bit_generator.state = full
-        yield rng
 
 
 @dataclass(frozen=True)
@@ -588,24 +485,25 @@ def check_high_interference(
 
     margin = I(X1;Y2|X2) - I(X1;Y1|X2) per sample; margins below -1e-9
     count as refutations (smaller wobbles are roundoff on equality cases).
-    Sample i is Dirichlet(1) from the PRNG substream (seed, i),
-    np.random.default_rng((seed, i)); the witness is the first sample with
-    the smallest margin.
+    Sample i is the i-th Dirichlet(1) draw from the one generator
+    np.random.default_rng(seed); the witness is the first sample with the
+    smallest margin.
     """
     _check_sampling(n_samples, seed)
+    rng = np.random.default_rng(seed)
     shape = (ch.nx1, ch.nx2)
-    inputs, margins = [], []
-    for chunk in _chunks(n_samples, math.prod(shape) * max(ch.ny1, ch.ny2)):
-        (pxx,) = _dirichlet(_substreams(seed, chunk), len(chunk), [(shape, 2)])
-        inputs.append(pxx)
-        margins.extend(_evaluate(pxx, "xz", _MARGIN, ch))
-    margin = np.concatenate(margins)
-    i = int(np.argmin(margin))
-    holds = bool(margin[i] >= -1e-9)
+    worst, witness = math.inf, None
+    for n in _chunks(n_samples, math.prod(shape) * max(ch.ny1, ch.ny2)):
+        (pxx,) = _dirichlet(rng, n, [(shape, 2)])
+        (margin,) = _evaluate(pxx, "xz", _MARGIN, ch)
+        i = int(np.argmin(margin))
+        if margin[i] < worst:
+            worst, witness = float(margin[i]), pxx[i].copy()
+    holds = worst >= -1e-9
     return HighInterferenceReport(
         holds_on_samples=holds,
-        worst_margin=float(margin[i]),
-        witness=None if holds else np.concatenate(inputs)[i],
+        worst_margin=worst,
+        witness=None if holds else witness,
     )
 
 
@@ -619,10 +517,13 @@ def random_dist(
 
     aux_sizes overrides the default auxiliary alphabet sizes (which mirror
     the driving input's alphabet; the cooperative u defaults to nx1*nx2).
+    Alphabets whose joint table would exceed MAX_JOINT_ENTRIES are refused
+    before anything is drawn.
     """
     sizes = _alphabet_sizes(variant, ch, aux_sizes)
+    _check_joint_entries(variant, sizes)
     rng = rng if rng is not None else np.random.default_rng(0)
-    factors = _sample_factors(variant, sizes, [rng], 1)
+    factors = _sample_factors(variant, sizes, rng, 1)
     return FactoredDist(variant, {name: f[0] for name, f in factors.items()})
 
 
@@ -636,17 +537,20 @@ def random_search_region(
 ) -> ConvexRegion:
     """Hull of the variant's pentagons over sampled input distributions.
 
-    Sample i is random_dist's draw from the PRNG substream (seed, i),
-    np.random.default_rng((seed, i)), so a fixed seed gives a bit-identical
-    region.  seed is a non-negative integer and n_samples at most 2**32.  Samples are evaluated in
-    chunks along a leading sample axis, which changes no bit either.
+    The samples are those of n_samples random_dist calls on one generator,
+    np.random.default_rng(seed): a fixed seed gives a bit-identical region,
+    and a search is the first n_samples samples of any longer one at the
+    same seed, so its hull only grows with n_samples.  seed is a
+    non-negative integer.  Samples are evaluated in chunks along a leading
+    sample axis, which changes no bit either.
     """
     _check_sampling(n_samples, seed)
     sizes = _alphabet_sizes(variant, ch, aux_sizes)
     entries = _check_joint_entries(variant, sizes) * max(ch.ny1, ch.ny2)
+    rng = np.random.default_rng(seed)
     bounds = []
-    for chunk in _chunks(n_samples, entries):
-        factors = _sample_factors(variant, sizes, _substreams(seed, chunk), len(chunk))
+    for n in _chunks(n_samples, entries):
+        factors = _sample_factors(variant, sizes, rng, n)
         for name, _, block in _FACTORS[variant]:
             _check_stochastic(name, factors[name], block)
         bounds.append(_evaluate(_joints(variant, factors), _JOINT_AXES[variant],

@@ -454,7 +454,8 @@ class TestRandomSearch:
                                      n_directions=181)
         big = random_search_region(ch, "r2", n_samples=2000, seed=0,
                                    n_directions=181)
-        # nested per-sample streams make the sampled hull monotone in n
+        # a search is the first n samples of any longer one at its seed, so
+        # the sampled hull is monotone in n
         assert np.all(big.support >= small.support - 1e-12)
         assert big.support[0] >= 0.3  # still far from the witness value 1.0
 
@@ -539,16 +540,31 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("channel", [noisy_channel, noiseless_pair])
-    def test_search_is_the_hull_of_per_sample_pentagons(self, variant, channel):
+    def test_search_is_the_hull_of_per_sample_pentagons(self, variant, channel,
+                                                         monkeypatch):
         ch = channel()
-        reg = random_search_region(ch, variant, n_samples=37, seed=4, n_directions=181)
-        pents = [
-            EVALUATE[variant](random_dist(variant, ch, rng=np.random.default_rng((4, i))), ch)
-            for i in range(37)
-        ]
+        rng = np.random.default_rng(4)
+        pents = [EVALUATE[variant](random_dist(variant, ch, rng=rng), ch) for _ in range(37)]
         want = hull_of_union([p for p in pents if not p.is_empty()], 181)
-        assert np.array_equal(reg.support, want.support)
-        assert np.array_equal(reg.boundary, want.boundary)
+        joint_entries = random_dist(variant, ch).joint().size
+        for per_chunk in (None, 1, 7):
+            if per_chunk is not None:
+                monkeypatch.setattr(dmc, "_CHUNK_ENTRIES",
+                                    per_chunk * joint_entries * max(ch.ny1, ch.ny2))
+            reg = random_search_region(ch, variant, n_samples=37, seed=4,
+                                       n_directions=181)
+            assert np.array_equal(reg.support, want.support), per_chunk
+            assert np.array_equal(reg.boundary, want.boundary), per_chunk
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("channel", [noisy_channel, noiseless_pair])
+    def test_shorter_search_is_nested_in_a_longer_one(self, variant, channel):
+        ch = channel()
+        # 37 samples, since the binning penalty leaves every one of the first
+        # ten r1 pentagons on the noisy channel EMPTY
+        small = random_search_region(ch, variant, n_samples=37, seed=4, n_directions=181)
+        big = random_search_region(ch, variant, n_samples=2000, seed=4, n_directions=181)
+        assert np.all(small.support <= big.support)
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -571,6 +587,17 @@ class TestBatchedSampling:
             random_search_region(noiseless_pair(), "full",
                                  {"u1": 10**6, "w1": 10**6, "w2": 10**6}, n_samples=3)
 
+    @pytest.mark.parametrize("size", [10**6, 233], ids=["huge", "just-above"])
+    def test_random_dist_refuses_an_oversized_joint_before_drawing(self, size,
+                                                                  monkeypatch):
+        # 2**3 * 233**3 entries is the first cube of this shape above the limit
+        def sampled(*args):
+            raise AssertionError("a factor was drawn")
+
+        monkeypatch.setattr(dmc, "_dirichlet", sampled)
+        with pytest.raises(ValueError, match="entries"):
+            random_dist("full", noiseless_pair(), {"u1": size, "w1": size, "w2": size})
+
     @pytest.mark.parametrize("per_chunk", [None, 1, 7])
     def test_high_interference_matches_a_per_sample_loop(self, per_chunk, monkeypatch):
         # y2 sees x1 only through a strong flip, y1 sees it cleanly: refuted
@@ -580,8 +607,9 @@ class TestBatchedSampling:
             monkeypatch.setattr(dmc, "_CHUNK_ENTRIES", per_chunk * 6 * 2)
         rep = check_high_interference(ch, n_samples=50, seed=8)
         worst, witness = np.inf, None
-        for i in range(50):
-            pxx = np.random.default_rng((8, i)).dirichlet(np.ones(6)).reshape(2, 3)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            pxx = rng.dirichlet(np.ones(6)).reshape(2, 3)
             t_y1 = np.einsum("xz,xm->xmz", pxx, ch.k1)
             t_y2 = np.einsum("xz,xzn->xnz", pxx, ch.k2_cube)
             margin = conditional_mi(t_y2) - conditional_mi(t_y1)
@@ -592,44 +620,23 @@ class TestBatchedSampling:
         assert np.array_equal(rep.witness, witness)
 
 
-#: Seeds of one to five 32-bit words.  With the index appended, 2**130 + 3
-#: has more words than SeedSequence's pool of four, which takes numpy's
-#: extra mixing loop.
-ORACLE_SEEDS = (0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
-
-#: 630 sample indices per seed, from both ends of the 32-bit range.
-ORACLE_INDICES = (*range(620), *range(2**32 - 10, 2**32))
-
-
-class TestSubstreams:
-    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_every_substream_is_numpys_default_rng(self, seed):
-        assert {0, 1, 99, 2**32 - 1} <= set(ORACLE_INDICES)
-        drawn = 0
-        for i, rng in zip(ORACLE_INDICES, dmc._substreams(seed, ORACLE_INDICES)):
-            ref = np.random.default_rng((seed, i))
-            assert rng.bit_generator.state == ref.bit_generator.state, (seed, i)
-            assert np.array_equal(rng.standard_exponential(14),
-                                  ref.standard_exponential(14)), (seed, i)
-            drawn += 1
-        assert drawn == len(ORACLE_INDICES)
-
-    @pytest.mark.parametrize("n_samples, seed, error, match", [
-        (5, -1, ValueError, "non-negative"),
-        (5, 1.0, TypeError, None),
-        (2**32 + 1, 0, ValueError, "2\\*\\*32"),
-    ], ids=["negative-seed", "float-seed", "too-many-samples"])
-    def test_refused_before_any_sampling(self, n_samples, seed, error, match,
-                                         monkeypatch):
+class TestSeedContract:
+    @pytest.mark.parametrize("seed, error, match", [
+        (-1, ValueError, "non-negative"),
+        (1.0, TypeError, None),
+        (None, TypeError, None),
+        (np.random.default_rng(0), TypeError, None),
+    ], ids=["negative-seed", "float-seed", "none-seed", "generator-seed"])
+    def test_refused_before_any_sampling(self, seed, error, match, monkeypatch):
         def sampled(*args):
-            raise AssertionError("a substream was drawn")
+            raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(dmc, "_substreams", sampled)
+        monkeypatch.setattr(dmc, "_dirichlet", sampled)
         ch = noiseless_pair()
         with pytest.raises(error, match=match):
-            random_search_region(ch, "r2", n_samples=n_samples, seed=seed)
+            random_search_region(ch, "r2", n_samples=5, seed=seed)
         with pytest.raises(error, match=match):
-            check_high_interference(ch, n_samples, seed=seed)
+            check_high_interference(ch, 5, seed=seed)
 
 
 #: Variable names of each variant's joint axes, then the two outputs.
