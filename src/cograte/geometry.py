@@ -8,8 +8,10 @@ maximum itself is located on the convex chain of the kept top corners, so
 each direction evaluates only the few pentagons whose corners lie on or
 within roundoff of its support line, and the result is the same float as
 the max over every pentagon.  Every hull is built by hull_of_slabs, which
-takes a union as slabs: each slab joins the survivors so far in one running
-prune, so only those survivors are held while the next slab is evaluated.
+takes a union as slabs: each slab first loses the pentagons whose top
+corners both lie below the convex chain of the survivors so far, then joins
+those survivors in one running prune, so only they are held while the next
+slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
@@ -384,14 +386,18 @@ def hull_of_slabs(
     The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
     at a time.  Bounds must be finite, as in Pentagon; ValueError names the
     count of NaN or infinite bounds over all slabs.  Each slab drops its
-    empty pentagons (any negative bound) and joins the survivors so far,
-    and of these the pentagons without a top corner that no other corner
-    beats are dropped, so only the survivors are held while the next slab
-    is evaluated.  Beating is transitive, so every beaten corner is beaten
-    by a survivor, and this keeps the same pentagons, in the same order, as
-    one prune over the whole union.  Raises ValueError when no pentagon is
-    non-empty.  The support at each direction is exactly the max of the
-    member supports.
+    empty pentagons (any negative bound), then, once there are survivors,
+    the pentagons whose two top corners both lie more than _BOUNDARY_TOL
+    below the survivors' corner chain along (1, 1).  Such a corner is lower
+    by at least that much than the survivors' support in every unit
+    first-quadrant direction, so it never attains the maximum.  The rest
+    join the survivors, and of these the pentagons without a top corner
+    that no other corner beats are dropped, so only the survivors are held
+    while the next slab is evaluated.  The kept pentagons depend on how the
+    union is cut into slabs, but none that can attain the maximum is
+    dropped, so the support is the same float for every cut and order.
+    Raises ValueError when no pentagon is non-empty.  The support at each
+    direction is exactly the max of the member supports.
     """
     bad = 0
     r1 = r2 = s = np.empty(0)
@@ -403,7 +409,19 @@ def hull_of_slabs(
         # an empty pentagon has no support, but the kernel's closed form
         # would give it one, so it must not survive the prune
         live = (slab[0] >= 0.0) & (slab[1] >= 0.0) & (slab[2] >= 0.0)
-        r1, r2, s = (np.concatenate([kept, v[live]]) for kept, v in zip((r1, r2, s), slab))
+        slab = [v[live] for v in slab]
+        if r1.size:
+            # the survivors' chain, closed by feet below and left of it outside
+            # the quadrant, so every corner's u = x - y falls on it; interp
+            # moves each corner along (1, 1) onto the chain
+            cx, cy = _corner_chain(*_top_corners(r1, r2, s))
+            cx = np.concatenate([cx[:1], cx, [-1.0]])
+            cy = np.concatenate([[-1.0], cy, cy[-1:]])
+            x, y = _top_corners(*slab)
+            below = np.interp(y - x, cy - cx, cx) - x > _BOUNDARY_TOL
+            n = slab[0].size
+            slab = [v[~(below[:n] & below[n:])] for v in slab]
+        r1, r2, s = (np.concatenate([kept, v]) for kept, v in zip((r1, r2, s), slab))
         own = _owns_undominated_corner(r1, r2, s)
         r1, r2, s = r1[own], r2[own], s[own]
     if bad:

@@ -346,6 +346,20 @@ class TestRateSplitSlabs:
             assert np.array_equal(region.support, one_shot.support)
             assert np.array_equal(region.boundary, one_shot.boundary)
 
+    @pytest.mark.parametrize("b", [1.3628, 3.3628])
+    def test_g_across_slabs_matches_one_slab(self, b, monkeypatch):
+        # each slab after the first is filtered by the survivors' chain
+        ch = ChannelParams(6.0, 6.0, b)
+        grid = np.linspace(0.0, 1.0, 31)
+        monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2**30)
+        assert len(list(gaussian._rate_split_slabs(ch, grid, grid, grid))) == 1
+        one_slab = g_region(ch, 31, 31, 31)
+        monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 4 * 31 * 32)
+        assert len(list(gaussian._rate_split_slabs(ch, grid, grid, grid))) == 8
+        sliced = g_region(ch, 31, 31, 31)
+        assert np.array_equal(sliced.support, one_slab.support)
+        assert np.array_equal(sliced.boundary, one_slab.boundary)
+
     def test_default_g_slabs_bound_memory(self):
         # the whole 101^3 family at once peaked near 200 MB
         tracemalloc.start()

@@ -198,6 +198,21 @@ def test_kernel_matches_the_broadcast_formula_bit_for_bit(n_directions):
         assert np.array_equal(got, _broadcast_support(r1, r2, s, dirs)), name
 
 
+@pytest.mark.parametrize("n_directions", [181, 721])
+def test_sliced_hull_matches_the_broadcast_formula_bit_for_bit(n_directions):
+    # each slab is filtered by the chain of the survivors before it, so ties,
+    # repeats and corners a few ulps apart must reach the kernel across slabs
+    rng = np.random.default_rng(43)
+    dirs = quadrant_directions(n_directions)
+    for name, r1, r2, s in _kernel_families():
+        ref = _broadcast_support(r1, r2, s, dirs)
+        for order in (np.arange(r1.size), rng.permutation(r1.size)):
+            cuts = np.sort(rng.integers(0, r1.size + 1, rng.integers(1, 9)))
+            slabs = [np.split(v[order], cuts) for v in (r1, r2, s)]
+            got = hull_of_slabs(zip(*slabs), n_directions).support
+            assert np.array_equal(got, ref), name
+
+
 class TestHullOfUnion:
     def test_single_pentagon_boundary_vertices(self):
         reg = _hull(Pentagon(1, 1, 1.5))
@@ -289,19 +304,47 @@ class TestUndominatedPentagons:
         with pytest.raises(ValueError, match="all pentagons are empty"):
             hull_of_slabs(slabs)
 
-    def test_running_prune_matches_one_prune(self, monkeypatch):
+    @pytest.mark.parametrize("cuts", [[0, 7, 1000, 1001, 2500, 3000],
+                                      [0, 1, 2, 3, 3000],
+                                      list(range(0, 3001, 100))])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_running_prune_gives_the_one_prune_hull(self, monkeypatch, cuts, reverse):
         rng = np.random.default_rng(5)
         r1, r2 = rng.uniform(0.0, 2.0, (2, 3000))
         s = rng.uniform(0.5, 1.0, 3000) * (r1 + r2)
         whole, whole_bounds = _kernel_input(monkeypatch, [(r1, r2, s)])
-        cuts = [0, 7, 1000, 1001, 2500, 3000]
         slabs = [(r1[a:b], r2[a:b], s[a:b]) for a, b in zip(cuts, cuts[1:])]
+        if reverse:
+            slabs = slabs[::-1]
         survivors = [geometry._owns_undominated_corner(*slab).sum() for slab in slabs]
         assert sum(survivors) > len(whole_bounds[0])
-        pieces, piece_bounds = _kernel_input(monkeypatch, slabs)
-        assert piece_bounds == whole_bounds
+        pieces = hull_of_slabs(slabs, 181)
         assert np.array_equal(pieces.support, whole.support)
         assert np.array_equal(pieces.boundary, whole.boundary)
+
+    def test_slab_corner_below_the_survivors_chain_is_dropped(self, monkeypatch):
+        # box pentagons (r1 + r2 <= s): the survivors' chain is x + y = 2,
+        # and neither survivor beats the corner (1 - t, 1 - t) in both
+        # coordinates
+        survivors = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
+        for t, kept in ((1e-3, False), (2e-9, False), (5e-10, True), (0.0, True)):
+            slab = ([1.0 - t], [1.0 - t], [10.0])
+            _, bounds = _kernel_input(monkeypatch, [survivors, slab])
+            assert bounds[0] == survivors[0] + ([1.0 - t] if kept else []), t
+            # in the same slab only the dominance prune applies
+            _, bounds = _kernel_input(
+                monkeypatch, [[a + b for a, b in zip(survivors, slab)]])
+            assert len(bounds[0]) == 3, t
+
+    def test_slab_pentagon_needs_both_corners_below_the_chain_to_go(self, monkeypatch):
+        # survivors' chain (2, 0), (1.2, 1.2), (0, 2); the first slab
+        # pentagon has corners (1.8, 0.55) above it and (1.15, 1.2) 0.02
+        # below, the second a box corner at (1.15, 1.2) that no survivor
+        # beats in both coordinates
+        survivors = ([2.0, 0.0, 1.2], [0.0, 2.0, 1.2], [10.0, 10.0, 10.0])
+        slab = ([1.8, 1.15], [1.2, 1.2], [2.35, 10.0])
+        _, bounds = _kernel_input(monkeypatch, [survivors, slab])
+        assert bounds[0] == [2.0, 0.0, 1.2, 1.8]
 
     def test_size_zero_slabs_contribute_nothing(self, monkeypatch):
         slab = ([1.0, 0.5], [0.5, 1.0], [1.2, 1.2])
