@@ -18,7 +18,11 @@ the common covariances are both positive semidefinite.  Rates follow the
 scalar reductions along the receive vectors h1 = (1, 0) and h2 = (b, 1).
 Only the largest-r2 pentagon of each (p1_priv, c_tot) reaches the hull: the
 others lie inside it, so the hull gets one slab of at most n_grid**2
-pentagons.
+pentagons.  Each PSD test keeps one contiguous run of the sorted c_priv grid
+per (p1_priv, p2_priv), and r2 grows with c_priv, so that pentagon is found
+by one binary search per (c_tot, p1_priv, p2_priv): O(n_grid**3 log n_grid)
+work on (p1_priv, p2_priv) arrays, and the n_grid**4 split grid is never
+formed.
 """
 
 from __future__ import annotations
@@ -67,6 +71,18 @@ def co1_region(
     )
 
 
+def _run_top(q: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Last index of the run of entries of q at most each room.
+
+    q must not increase up to its first minimum and not decrease after it,
+    so the entries at most a room are one contiguous run; one binary search
+    past the minimum finds its top.  An empty run gives an index below the
+    minimum's, -1 at the least, whose entry exceeds the room.
+    """
+    m = int(q.argmin())
+    return m - 1 + np.searchsorted(q[m:], room, side="right")
+
+
 def _bcdms_slab(ch: ChannelParams, n_grid: int):
     """Maximal bcdms pentagons of the covariance-split grid, as one slab.
 
@@ -74,8 +90,16 @@ def _bcdms_slab(ch: ChannelParams, n_grid: int):
     pentagon grows with its r2 bound, so of all PSD-feasible (p2_priv,
     c_priv) splits only the largest r2 can reach the hull.  The slab holds
     one pentagon per (c_tot, p1_priv) with a feasible split, c_tot-major:
-    at most n_grid**2.  Each c_tot masks the 3-D private grid on its own,
-    so the 4-D grid is never formed.
+    at most n_grid**2.  Over the sorted c_privs the rounded c*c falls, then
+    rises, and so does the rounded (c_tot - c)**2, so for each (p1_priv,
+    p2_priv) each PSD test keeps one contiguous run of c_privs: the private
+    run once, the common run once per c_tot.  The r2 bound grows with c_priv
+    through rounded monotone steps, so over the feasible splits, the
+    intersection of the two runs, it is largest at the lower of the two
+    tops, and that top is feasible exactly when it passes both tests.  Each
+    c_tot is one binary search per (p1_priv, p2_priv) and a few passes over
+    those n_grid**2 pairs, O(n_grid**3 log n_grid) work in all, and no 3-D
+    or 4-D grid is formed.
     """
     p1, p2, b = ch.p1, ch.p2, ch.b
     c_max = np.sqrt(p1 * p2)
@@ -84,38 +108,43 @@ def _bcdms_slab(ch: ChannelParams, n_grid: int):
     p2s = np.unique(np.linspace(0.0, p2, n_grid))
     c_privs = np.unique(np.linspace(-c_max, c_max, n_grid))
 
-    a = p1s[:, None, None]
-    d = p2s[None, :, None]
-    c = c_privs[None, None, :]
+    a = p1s[:, None]
+    d = p2s[None, :]
     # relative to the power product, so large gains and tiny powers admit
     # no non-PSD split through roundoff slack
     tol = _PSD_TOL * p1 * p2
-    priv_psd = c * c <= a * d + tol
+    priv_sq = c_privs * c_privs
+    priv_room = a * d + tol
+    priv_top = _run_top(priv_sq, priv_room)
+    common_room = (p1 - a) * (p2 - d) + tol
     r1 = 0.5 * np.log2((p1 + 1.0) / (p1s + 1.0))
     # b*b*a + 2*b*c + d written as (b*sqrt(a) - sqrt(d))**2 + 2*b*(c +
     # sqrt(a*d)): both terms are nonnegative where the split is PSD, so no
     # digits cancel when b*b*a and d are large and close.  Roundoff and the
     # PSD slack can leave c + sqrt(a*d) a few ulps of a*d below 0 on the
-    # boundary, which is clamped; non-PSD entries are masked out below.
-    sa = np.sqrt(p1s)[:, None, None]
-    sd = np.sqrt(p2s)[None, :, None]
-    # in place: one grid-sized temporary instead of five
-    r2_grid = c + sa * sd
-    np.maximum(r2_grid, 0.0, out=r2_grid)
-    r2_grid *= 2.0 * b
-    r2_grid += 1.0 + (b * sa - sd) ** 2
-    np.log2(r2_grid, out=r2_grid)
-    r2_grid *= 0.5
+    # boundary, which is clamped.
+    sa = np.sqrt(p1s)[:, None]
+    sd = np.sqrt(p2s)[None, :]
+    cross = sa * sd
+    base = 1.0 + (b * sa - sd) ** 2
     spread = (b * np.sqrt(p1) - np.sqrt(p2)) ** 2
-    common_room = (p1 - a) * (p2 - d) + tol
-    parts = []
-    for ct in c_tots:
-        ok = priv_psd & ((ct - c) ** 2 <= common_room)
-        rows = np.any(ok, axis=(1, 2))
-        r2 = np.max(r2_grid, axis=(1, 2), where=ok, initial=-np.inf)[rows]
-        s = 0.5 * np.log2(1.0 + spread + 2.0 * b * (ct + c_max))
-        parts.append((r1[rows], r2, np.full(r2.size, s)))
-    return tuple(np.concatenate(bounds) for bounds in zip(*parts))
+    s = 0.5 * np.log2(1.0 + spread + 2.0 * b * (c_tots + c_max))
+    rows = np.empty((c_tots.size, p1s.size), dtype=bool)
+    best = np.empty(rows.shape)
+    for i, ct in enumerate(c_tots):
+        common_sq = (ct - c_privs) ** 2
+        top = np.minimum(priv_top, _run_top(common_sq, common_room))
+        ok = (priv_sq[top] <= priv_room) & (common_sq[top] <= common_room)
+        ok.any(axis=1, out=rows[i])
+        arg = c_privs[top] + cross
+        np.maximum(arg, 0.0, out=arg)
+        arg *= 2.0 * b
+        arg += base
+        np.where(ok, arg, -np.inf).max(axis=1, out=best[i])
+    # log2 is monotone, so it is taken once per kept pentagon; boolean
+    # indexing keeps the c_tot-major order
+    return (np.broadcast_to(r1, rows.shape)[rows], 0.5 * np.log2(best[rows]),
+            np.broadcast_to(s[:, None], rows.shape)[rows])
 
 
 def bcdms_region(

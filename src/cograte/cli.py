@@ -64,7 +64,9 @@ REGIME_TOL = 5e-5
 #: Most pentagons one region may evaluate.  g is evaluated and pruned in
 #: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
 #: grid, so this bounds work, not memory.  g at --points 201 (8,120,802)
-#: and every default fit.
+#: and every default fit.  bcdms counts as its n_cov**4 split grid, an
+#: upper bound on its work (the run search reads about n_cov**3 of it),
+#: which admits --cov-points up to 53.
 MAX_PENTAGONS = 2**23
 
 #: Most support cells (pentagons x directions) of one region's support
@@ -199,8 +201,9 @@ def _points(sel: str, cfg: RunConfig) -> int:
 
 
 def _pentagon_count(sel: str, cfg: RunConfig) -> int:
-    """Pentagons build_region evaluates for sel, empty or not (an upper
-    bound for bcdms, whose grid is PSD-filtered)."""
+    """Pentagons build_region evaluates for sel, empty or not (for bcdms
+    the size of its PSD-filtered split grid, an upper bound; its run search
+    reads only the top of each feasible c_priv run)."""
     k = _points(sel, cfg)
     if sel == "g":
         return k**3 + k

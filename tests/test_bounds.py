@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+from cograte.cli import RunConfig
 from cograte.model import ChannelParams, RatePair
 from cograte import bounds
 from cograte.bounds import bcdms_region, co1_pentagon, co1_region, co2_region
 from cograte.geometry import directed_gap, hull_of_slabs, subset_within
+from test_cli import largest_admitted
 
 
 def hl2(x):
@@ -206,6 +208,95 @@ class TestBcdmsMaximalPentagons:
         streamed = hull_of_slabs(per_c_tot, 181)
         assert np.array_equal(reg.support, streamed.support)
         assert np.array_equal(reg.boundary, streamed.boundary)
+
+
+def _largest_equal_powers_at_unit_gain():
+    def admitted(p):
+        try:
+            RunConfig(command="region", p1=p, p2=p, b=1.0, selections=("bcdms",))
+        except ValueError:
+            return False
+        return True
+
+    return largest_admitted(admitted)[0]
+
+
+_P_MAX = _largest_equal_powers_at_unit_gain()
+
+SLAB_CHANNELS = [
+    (6, 6, 3.3628), (6, 6, 1.3628), (6, 0, 2), (0, 6, 2), (6, 6, 0),
+    (1e-20, 1e9, 1e6), (1e-3, 1e-3, 1000), (_P_MAX, _P_MAX, 1),
+]
+
+
+def _psd_masks(ch, n_grid):
+    """The grids and an iterator of (c_tot, private PSD mask, common PSD
+    mask), the masks over the (p1_priv, p2_priv, c_priv) grid, as the mask
+    loop builds them."""
+    p1, p2 = ch.p1, ch.p2
+    c_max = np.sqrt(p1 * p2)
+    c_tots = np.unique(np.linspace(-c_max, c_max, n_grid))
+    p1s = np.unique(np.linspace(0.0, p1, n_grid))
+    p2s = np.unique(np.linspace(0.0, p2, n_grid))
+    c_privs = np.unique(np.linspace(-c_max, c_max, n_grid))
+    a = p1s[:, None, None]
+    d = p2s[None, :, None]
+    c = c_privs[None, None, :]
+    tol = 1e-12 * p1 * p2
+    priv_psd = c * c <= a * d + tol
+    common_room = (p1 - a) * (p2 - d) + tol
+    masks = ((ct, priv_psd, (ct - c) ** 2 <= common_room) for ct in c_tots)
+    return p1s, p2s, c_privs, masks
+
+
+def _mask_loop_slab(ch, n_grid):
+    """The slab as one 3-D mask and masked max per c_tot computes it: the
+    reference the run search must match bit for bit."""
+    p1, p2, b = ch.p1, ch.p2, ch.b
+    c_max = np.sqrt(p1 * p2)
+    p1s, p2s, c_privs, masks = _psd_masks(ch, n_grid)
+    c = c_privs[None, None, :]
+    r1 = 0.5 * np.log2((p1 + 1.0) / (p1s + 1.0))
+    sa = np.sqrt(p1s)[:, None, None]
+    sd = np.sqrt(p2s)[None, :, None]
+    r2_grid = c + sa * sd
+    np.maximum(r2_grid, 0.0, out=r2_grid)
+    r2_grid *= 2.0 * b
+    r2_grid += 1.0 + (b * sa - sd) ** 2
+    np.log2(r2_grid, out=r2_grid)
+    r2_grid *= 0.5
+    spread = (b * np.sqrt(p1) - np.sqrt(p2)) ** 2
+    parts = []
+    for ct, priv_psd, common_psd in masks:
+        ok = priv_psd & common_psd
+        rows = np.any(ok, axis=(1, 2))
+        r2 = np.max(r2_grid, axis=(1, 2), where=ok, initial=-np.inf)[rows]
+        s = 0.5 * np.log2(1.0 + spread + 2.0 * b * (ct + c_max))
+        parts.append((r1[rows], r2, np.full(r2.size, s)))
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+class TestBcdmsRunSearch:
+    @pytest.mark.parametrize("n_grid", [2, 5, 11, 41, 53])
+    @pytest.mark.parametrize("p1, p2, b", SLAB_CHANNELS)
+    def test_slab_is_the_mask_loop_slab(self, p1, p2, b, n_grid):
+        ch = ChannelParams(p1, p2, b)
+        got = bounds._bcdms_slab(ch, n_grid)
+        ref = _mask_loop_slab(ch, n_grid)
+        for name, g, r in zip(("r1", "r2", "s"), got, ref):
+            assert np.array_equal(g, r), name
+
+    @pytest.mark.parametrize("n_grid", [2, 5, 11, 41, 53])
+    @pytest.mark.parametrize("p1, p2, b", SLAB_CHANNELS)
+    def test_each_psd_test_keeps_one_run_of_c_privs(self, p1, p2, b, n_grid):
+        # the run search finds one contiguous (possibly empty) run of the
+        # sorted c_privs per PSD test and (c_tot, p1_priv, p2_priv)
+        *_, masks = _psd_masks(ChannelParams(p1, p2, b), n_grid)
+        for _, priv_psd, common_psd in masks:
+            for mask in (priv_psd, common_psd):
+                starts = np.concatenate(
+                    [mask[..., :1], mask[..., 1:] & ~mask[..., :-1]], axis=-1)
+                assert starts.sum(axis=-1).max() <= 1
 
 
 class TestCo2Region:
