@@ -53,6 +53,13 @@ def co1_pentagon(ch: ChannelParams, rho: float) -> Pentagon:
     return Pentagon(float(r1), float(s), float(s))
 
 
+def _co1_arrays(ch: ChannelParams, rhos):
+    p1, p2, b = ch.p1, ch.p2, ch.b
+    r1 = 0.5 * np.log2(1.0 + (1.0 - rhos * rhos) * p1)
+    s = 0.5 * np.log2(1.0 + b * b * p1 + p2 + 2.0 * rhos * b * np.sqrt(p1 * p2))
+    return r1, s, s
+
+
 def co1_region(
     ch: ChannelParams,
     n_rho: int = DEFAULT_GRID,
@@ -61,13 +68,9 @@ def co1_region(
     """Hull of the co1 pentagons over a uniform rho grid."""
     if n_rho < 2:
         raise ValueError(f"rho grid needs at least 2 points, got {n_rho}")
-    rhos = np.linspace(0.0, 1.0, n_rho)
-    p1, p2, b = ch.p1, ch.p2, ch.b
-    r1 = 0.5 * np.log2(1.0 + (1.0 - rhos * rhos) * p1)
-    s = 0.5 * np.log2(1.0 + b * b * p1 + p2 + 2.0 * rhos * b * np.sqrt(p1 * p2))
     return hull_of_slabs(
-        [(r1, s, s)], n_directions,
-        provenance=f"co1(P1={p1:g},P2={p2:g},b={b:g})",
+        [_co1_arrays(ch, np.linspace(0.0, 1.0, n_rho))], n_directions,
+        provenance=f"co1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
 

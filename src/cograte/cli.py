@@ -64,18 +64,22 @@ REGIME_TOL = 5e-5
 #: Most pentagons one region may evaluate.  g is evaluated and pruned in
 #: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
 #: grid, so this bounds work, not memory.  g at --points 201 (8,120,802)
-#: and every default fit.  bcdms counts as its n_cov**4 split grid, an
-#: upper bound on its work (the run search reads about n_cov**3 of it),
-#: which admits --cov-points up to 53.
+#: and every default fit.  bcdms counts as n_cov**3, about the entries its
+#: run search reads (one PSD test per (p1_priv, p2_priv, c_tot)), which
+#: admits --cov-points up to 203 (bcdms or co2 at 203 points: about 0.2 s
+#: in process, and a 39 MB peak for the whole command, on a 2-vCPU host).
 MAX_PENTAGONS = 2**23
 
 #: Most support cells (pentagons x directions) of one region's support
 #: maximum.  The prune keeps every pentagon of a one-parameter family (g2,
 #: g3p, capacity and co1, co2's co1 part too), but the support maximum walks
-#: the corner chain instead of every cell: at this cap it takes 0.07 s for
-#: co1 at 65,536 points x 4,096 directions and 0.47 s at 372,000 x 721
-#: (0.3 and 1.8 ns per cell; a 2-vCPU host), and the whole region command
-#: 0.45 and 0.9 s.
+#: the corner chain instead of every cell, and settles a direction whose
+#: candidates share a corner as soon as one reaches their M*c cap.  At this
+#: cap co1 takes 0.04 s at 65,536 points x 4,096 directions and 0.24 s at
+#: 372,000 x 721 when P2 = 6.  At P2 = 0, where all its pentagons share the
+#: top corner (0, s), it takes 0.10 and 0.53 s; evaluating every tied cell
+#: took 3.4 and 4.2 s.  The whole region command takes 0.4 and 0.5 s at
+#: P2 = 6, and 0.4 and 0.8 s at P2 = 0 (a 2-vCPU host).
 MAX_SUPPORT_CELLS = 2**28
 
 #: Most support directions D.  An envelope has at most D + 2 vertices, and the
@@ -202,17 +206,17 @@ def _points(sel: str, cfg: RunConfig) -> int:
 
 def _pentagon_count(sel: str, cfg: RunConfig) -> int:
     """Pentagons build_region evaluates for sel, empty or not (for bcdms
-    the size of its PSD-filtered split grid, an upper bound; its run search
-    reads only the top of each feasible c_priv run)."""
+    the n_cov**3 entries its run search reads, since it evaluates only the
+    top of each feasible c_priv run)."""
     k = _points(sel, cfg)
     if sel == "g":
         return k**3 + k
     if sel == "g1":
         return k**2 + 1
     if sel == "bcdms":
-        return cfg.n_cov**4
+        return cfg.n_cov**3
     if sel == "co2":
-        return k + cfg.n_cov**4
+        return k + cfg.n_cov**3
     return k
 
 

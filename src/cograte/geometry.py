@@ -7,7 +7,11 @@ no other corner beats are kept; the rest never attain the maximum.  The
 maximum itself is located on the convex chain of the kept top corners, so
 each direction evaluates only the few pentagons whose corners lie on or
 within roundoff of its support line, and the result is the same float as
-the max over every pentagon.  Every hull is built by hull_of_slabs, which
+the max over every pentagon.  A pentagon's value is at most M*c, M the
+larger direction component and c its sum bound, and rounding is monotone,
+so a direction is settled as soon as one candidate reaches M times the
+largest c among them; many pentagons that share a corner then cost two
+evaluations, not one each.  Every hull is built by hull_of_slabs, which
 takes a union as slabs: each slab first loses the pentagons whose top
 corners both lie below the convex chain of the survivors so far, then joins
 those survivors in one running prune, so only they are held while the next
@@ -116,13 +120,21 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Andrew's monotone chain (1979) over the staircase of the points: by
     decreasing x, the points higher than every point before them.  The
     vertices run by strictly decreasing x and strictly increasing y, and
-    collinear points are dropped.
+    collinear points are dropped.  The loop pops nothing when every
+    staircase point turns left past its two neighbours, so one vectorised
+    turn test (the loop's own, in the same floats) returns a convex
+    staircase as it stands; any other runs the loop.
     """
     order = np.lexsort((-y, -x))
     xs, ys = x[order], y[order]
     stair = np.append(True, ys[1:] > np.maximum.accumulate(ys)[:-1])
+    xs, ys = xs[stair], ys[stair]
+    left = ((xs[1:-1] - xs[:-2]) * (ys[2:] - ys[:-2])
+            - (ys[1:-1] - ys[:-2]) * (xs[2:] - xs[:-2])) > 0.0
+    if left.all():
+        return xs, ys
     chain = []
-    for p in zip(xs[stair].tolist(), ys[stair].tolist()):
+    for p in zip(xs.tolist(), ys.tolist()):
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2], chain[-1]
             if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0.0:
@@ -158,6 +170,14 @@ def support_max_over_pentagons(
     float as the max over every pentagon, at a cost of O(P log P + D) for P
     pentagons and D directions.  On the axes the max is read off the chain
     exactly, as min(r1, s) or min(r2, s) is all the closed form leaves there.
+
+    Ties can make the candidates many: at P2 = 0 every co1 pentagon owns
+    the corner (0, s).  Each cell's last step is a min with fl(M*c), and
+    rounding is monotone, so no candidate of a direction exceeds its cap
+    fl(M * the largest c among them), and a cell that equals the cap is the
+    maximum, bit for bit.  So a direction with more than two candidates
+    first evaluates its first and last; it is settled if either reaches
+    the cap, and only the directions left open evaluate every candidate.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
@@ -216,16 +236,40 @@ def support_max_over_pentagons(
     start = np.searchsorted(near_u, u_bottom, side="left")
     counts = np.searchsorted(near_u, u_top, side="right") - start
     counts[on_axis] = 0
-    # cells run direction by direction: direction k has cells ends[k] -
-    # counts[k] to ends[k], for the pentagons owner[start[k]] onward
-    ends, total = np.cumsum(counts), int(counts.sum())
-    shift = start - (ends - counts)
 
     # the same products, in the same order, as a pentagons x directions
     # broadcast, so each value is bitwise the same
     excess = np.maximum(r1 + r2 - s, 0.0)
     dmin_neg, dmax = -np.minimum(dx, dy), np.maximum(dx, dy)
+
+    def cells(p, j):
+        """The closed form of pentagons p at directions j."""
+        h = r1[p] * dx[j]
+        h += r2[p] * dy[j]
+        h += excess[p] * dmin_neg[j]
+        return np.minimum(h, s[p] * dmax[j], out=h)
+
     support = np.where(dy == 0.0, cx[0] * dx, np.where(dx == 0.0, cy[-1] * dy, -np.inf))
+    # no candidate exceeds the cap M*c of the largest c among them, so a
+    # direction is settled once one cell reaches it; the two ends of each
+    # range settle most directions whose candidates share a corner, and
+    # save cells only where there are more than two
+    multi = np.flatnonzero(counts > 2)
+    if multi.size:
+        head, tail = start[multi], start[multi] + counts[multi]
+        # reduceat over interleaved (head, tail) pairs: the even results are
+        # the range maxima; the appended entry lets a tail be the length
+        top_s = np.maximum.reduceat(np.append(s[owner], 0.0),
+                                    np.column_stack([head, tail]).ravel())
+        cap = top_s[::2] * dmax[multi]
+        settled = np.maximum(cells(owner[head], multi), cells(owner[tail - 1], multi)) == cap
+        support[multi[settled]] = cap[settled]
+        counts[multi[settled]] = 0
+
+    # cells run direction by direction: direction k has cells ends[k] -
+    # counts[k] to ends[k], for the pentagons owner[start[k]] onward
+    ends, total = np.cumsum(counts), int(counts.sum())
+    shift = start - (ends - counts)
     # coincident corners of many pentagons all need their own value, so the
     # cells are evaluated in blocks of bounded size
     for first in range(0, total, _BLOCK_CELLS):
@@ -235,11 +279,7 @@ def support_max_over_pentagons(
         taken = np.minimum(ends[k], stop) - np.maximum(ends[k] - counts[k], first)
         k, taken = k[taken > 0], taken[taken > 0]
         j = np.repeat(k, taken)
-        p = owner[np.arange(first, stop) + shift[j]]
-        h = r1[p] * dx[j]
-        h += r2[p] * dy[j]
-        h += excess[p] * dmin_neg[j]
-        np.minimum(h, s[p] * dmax[j], out=h)
+        h = cells(owner[np.arange(first, stop) + shift[j]], j)
         support[k] = np.maximum(support[k], np.maximum.reduceat(h, np.cumsum(taken) - taken))
     return support
 

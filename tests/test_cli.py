@@ -252,6 +252,16 @@ class TestExitCodes:
         assert len(pts) >= 2
         assert np.all(np.isfinite(pts)) and np.all(pts >= 0.0)
 
+    @pytest.mark.parametrize("sel", ["bcdms", "co2"])
+    def test_cov_grid_budget_counts_the_entries_the_run_search_reads(
+            self, sel, tmp_path, capsys):
+        # about n_cov**3 (plus co1's points for co2): 203**3 fits 2**23,
+        # 204**3 does not
+        argv = ["region", "--select", sel, "--directions", "181", "--output", str(tmp_path)]
+        assert main([*argv, "--cov-points", "203"]) == 0, capsys.readouterr().err
+        assert main([*argv, "--cov-points", "204"]) == 2
+        assert "pentagons, more than" in capsys.readouterr().err
+
     def test_bcdms_at_the_largest_admitted_equal_powers_is_finite(self, tmp_path, capsys):
         # at c_tot = -sqrt(p1*p2) and b = 1 the sum bound's b*b*p1 +
         # 2*b*c_tot + p2 is 0 up to roundoff of p1 + p2, which once dwarfed

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from cograte.bounds import co1_region
-from cograte.gaussian import capacity_region, g2_region, g3p_region, g_region
+from cograte.bounds import _co1_arrays, co1_region
+from cograte.gaussian import (
+    _capacity_arrays,
+    _g2_arrays,
+    _g3p_arrays,
+    capacity_region,
+    g2_region,
+    g3p_region,
+    g_region,
+)
 from cograte.model import ChannelParams, Pentagon, RatePair
 from cograte import geometry
 from cograte.geometry import (
@@ -187,11 +195,53 @@ def _kernel_families():
         r2 = r2 + rng.integers(-4, 5, 180) * np.spacing(r2)
         s = r1 + r2 - np.where(rng.random(180) < 0.5, 0.01, 0.0)
         fams.append((f"ulps{i}", r1, r2, s))
+    grid = np.linspace(0.0, 1.0, 201)
+    for b in (1.5, 2.0, 4.0):
+        # at P2 = 0 every pentagon owns the top corner (0, s): co1 with one
+        # s, capacity with s up to an ulp apart
+        ch = ChannelParams(6.0, 0.0, b)
+        fams.append((f"co1-p2zero-b{b:g}", *_co1_arrays(ch, grid)))
+        fams.append((f"capacity-p2zero-b{b:g}", *_capacity_arrays(ch, grid)))
+    for i in range(5):
+        # sum faces that share the corner (0, s), with one s and with s a
+        # few ulps apart; r2 = s or above it
+        r1 = rng.uniform(0.0, 3.0, 80)
+        over = np.where(rng.random(80) < 0.5, 0.0, rng.uniform(0.0, 1.0, 80))
+        fams.append((f"shared-corner{i}", r1, 3.0 + over, np.full(80, 3.0)))
+        s = 3.0 + rng.integers(-4, 5, 80) * np.spacing(3.0)
+        fams.append((f"shared-corner-ulps{i}", r1, s + over, s))
+        # the largest-cap candidate is a box whose corner lies far below its
+        # sum line, so no cell reaches the cap and every candidate is
+        # evaluated: boxes sharing one corner, and sum faces sharing (0, 3)
+        # beside a box with that corner and sum bound 10
+        fams.append((f"slack-cap{i}", np.full(60, 1.0), np.full(60, 2.0),
+                     3.0 + rng.uniform(0.5, 5.0, 60)))
+        fams.append((f"slack-cap-shared{i}", np.append(r1[:60], 0.0),
+                     np.full(61, 3.0), np.append(np.full(60, 3.0), 10.0)))
+        # sum faces through (0, 3), the first exactly at its cap, beside
+        # boxes a few ulps to the right of that corner whose larger sum
+        # bounds are slack: the boxes hold the maximum, so a sum face that
+        # reaches its own cap settles nothing
+        k = rng.integers(1, 9, 20)
+        fams.append((f"box-right-of-shared{i}",
+                     np.concatenate([[0.0], r1[:20], k * np.spacing(3.0)]),
+                     np.full(41, 3.0),
+                     np.concatenate([np.full(21, 3.0), 3.0 + rng.uniform(1.0, 5.0, 20)])))
     return fams
 
 
 @pytest.mark.parametrize("n_directions", [181, 721])
 def test_kernel_matches_the_broadcast_formula_bit_for_bit(n_directions):
+    dirs = quadrant_directions(n_directions)
+    for name, r1, r2, s in _kernel_families():
+        got = support_max_over_pentagons(r1, r2, s, dirs)
+        assert np.array_equal(got, _broadcast_support(r1, r2, s, dirs)), name
+
+
+@pytest.mark.parametrize("n_directions", [181, 721])
+def test_small_blocks_match_the_broadcast_formula_bit_for_bit(n_directions, monkeypatch):
+    # directions that the cap leaves open are spread over many blocks
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 7)
     dirs = quadrant_directions(n_directions)
     for name, r1, r2, s in _kernel_families():
         got = support_max_over_pentagons(r1, r2, s, dirs)
@@ -211,6 +261,64 @@ def test_sliced_hull_matches_the_broadcast_formula_bit_for_bit(n_directions):
             slabs = [np.split(v[order], cuts) for v in (r1, r2, s)]
             got = hull_of_slabs(zip(*slabs), n_directions).support
             assert np.array_equal(got, ref), name
+
+
+def _loop_chain(x, y):
+    """The monotone-chain loop over the whole staircase, the reference."""
+    order = np.lexsort((-y, -x))
+    xs, ys = x[order], y[order]
+    stair = np.append(True, ys[1:] > np.maximum.accumulate(ys)[:-1])
+    chain = []
+    for p in zip(xs[stair].tolist(), ys[stair].tolist()):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0.0:
+                break
+            chain.pop()
+        chain.append(p)
+    cx, cy = np.array(chain).T
+    return cx, cy
+
+
+def _chain_inputs():
+    """(name, x, y) point sets: kernel families' and one-parameter families'
+    top corners, and sets within roundoff of a line or of a few points."""
+    sets = [(name, *geometry._top_corners(r1, r2, s))
+            for name, r1, r2, s in _kernel_families()]
+    grid = np.linspace(0.0, 1.0, 201)
+    for p2, b in ((6.0, 1.3628), (6.0, 3.3628), (0.0, 2.0)):
+        ch = ChannelParams(6.0, p2, b)
+        for arrays in (_co1_arrays, _capacity_arrays, _g2_arrays, _g3p_arrays):
+            sets.append((f"{arrays.__name__}-p2{p2:g}-b{b:g}",
+                         *geometry._top_corners(*arrays(ch, grid))))
+    # the third largest x fails the turn test between its staircase
+    # neighbours, yet the loop keeps it: it pops the neighbour before it
+    # first, and turns left past the largest x
+    sets.append(("near-line", np.array([0.5227754526359932, 0.8709792169900249,
+                                        0.28875169951524, 0.9319218127908346]),
+                 np.array([0.2007309459832513, 0.03416152072413027,
+                           0.3126803447113842, 0.0050085528486344495])))
+    rng = np.random.default_rng(47)
+    for i in range(30):
+        k = int(rng.integers(3, 300))
+        t = rng.uniform(0.0, 1.0, k)
+        x = t * rng.uniform(0.5, 2.0) * (1.0 + rng.normal(0.0, 1e-15, k))
+        y = (1.0 - t) * rng.uniform(0.1, 10.0) * (1.0 + rng.normal(0.0, 1e-15, k))
+        sets.append((f"near-line{i}", x, y))
+        t = np.sort(rng.uniform(0.0, np.pi / 2.0, max(k // 6, 1)))
+        pick = rng.integers(0, t.size, k)
+        x, y = 2.0 * np.cos(t)[pick], 2.0 * np.sin(t)[pick]
+        x = x + rng.integers(-4, 5, k) * np.spacing(x)
+        y = y + rng.integers(-4, 5, k) * np.spacing(y)
+        sets.append((f"near-points{i}", x, y))
+    return sets
+
+
+def test_corner_chain_matches_the_loop_over_the_whole_staircase():
+    # co1 and capacity at P2 = 6 are convex staircases; most others are not
+    for name, x, y in _chain_inputs():
+        got, ref = geometry._corner_chain(x, y), _loop_chain(x, y)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), name
 
 
 class TestHullOfUnion:
