@@ -33,7 +33,8 @@ from .gaussian import DEFAULT_GRID
 from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_slabs, intersect
 from .model import ChannelParams, Pentagon
 
-#: Default points per covariance-split dimension (4-D grid).
+#: Default points per covariance-split dimension (c_tot, p1_priv, p2_priv
+#: and c_priv; the 4-D grid of splits is never formed).
 DEFAULT_COV_GRID = 41
 
 _PSD_TOL = 1e-12
@@ -47,10 +48,7 @@ def co1_pentagon(ch: ChannelParams, rho: float) -> Pentagon:
     rho = float(rho)
     if not np.isfinite(rho) or rho < 0.0 or rho > 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-    p1, p2, b = ch.p1, ch.p2, ch.b
-    r1 = 0.5 * np.log2(1.0 + (1.0 - rho * rho) * p1)
-    s = 0.5 * np.log2(1.0 + b * b * p1 + p2 + 2.0 * rho * b * np.sqrt(p1 * p2))
-    return Pentagon(float(r1), float(s), float(s))
+    return Pentagon(*map(float, _co1_arrays(ch, rho)))
 
 
 def _co1_arrays(ch: ChannelParams, rhos):

@@ -13,9 +13,8 @@ family g, 41 per covariance dimension), 721 hull directions.  Tolerances:
 1e-3 bits for capacity-meets-bound claims, 5e-3 bits for coincide or
 strict-inclusion claims; both are grid-limited, not exact arithmetic.
 Regions are built one after another.  An invocation whose largest region
-would evaluate more than MAX_PENTAGONS pentagons, or whose one-parameter
-family would take more than MAX_SUPPORT_CELLS support cells, is refused as
-a usage error before anything is allocated.
+would evaluate more than MAX_PENTAGONS pentagons is refused as a usage
+error before anything is allocated.
 """
 
 from __future__ import annotations
@@ -41,7 +40,13 @@ from .gaussian import (
     g3p_region,
     g_region,
 )
-from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, directed_gap, subset_within
+from .geometry import (
+    _BOUNDARY_TOL,
+    ConvexRegion,
+    DEFAULT_DIRECTIONS,
+    directed_gap,
+    subset_within,
+)
 from .model import ChannelParams
 
 SELECTIONS = ("g", "g1", "g2", "g3p", "capacity", "co1", "bcdms", "co2")
@@ -63,24 +68,16 @@ REGIME_TOL = 5e-5
 
 #: Most pentagons one region may evaluate.  g is evaluated and pruned in
 #: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
-#: grid, so this bounds work, not memory.  g at --points 201 (8,120,802)
-#: and every default fit.  bcdms counts as n_cov**3, about the entries its
-#: run search reads (one PSD test per (p1_priv, p2_priv, c_tot)), which
-#: admits --cov-points up to 203 (bcdms or co2 at 203 points: about 0.2 s
-#: in process, and a 39 MB peak for the whole command, on a 2-vCPU host).
+#: grid, so for them this bounds work, not memory.  g at --points 201
+#: (8,120,802) and every default fit.  bcdms counts as n_cov**3, about the
+#: entries its run search reads (one PSD test per (p1_priv, p2_priv,
+#: c_tot)), which admits --cov-points up to 203 (bcdms or co2 at 203
+#: points: about 0.2 s in process, and a 39 MB peak for the whole command,
+#: on a 2-vCPU host).  A one-parameter family keeps its pentagons whole,
+#: and its support maximum is O(P log P + D), so this bounds it alone:
+#: capacity at P2 = 0 with 8,000,000 points and 4097 directions takes
+#: 13 s and a 1.8 GB peak on that host.
 MAX_PENTAGONS = 2**23
-
-#: Most support cells (pentagons x directions) of one region's support
-#: maximum.  The prune keeps every pentagon of a one-parameter family (g2,
-#: g3p, capacity and co1, co2's co1 part too), but the support maximum walks
-#: the corner chain instead of every cell, and settles a direction whose
-#: candidates share a corner as soon as one reaches their M*c cap.  At this
-#: cap co1 takes 0.04 s at 65,536 points x 4,096 directions and 0.24 s at
-#: 372,000 x 721 when P2 = 6.  At P2 = 0, where all its pentagons share the
-#: top corner (0, s), it takes 0.10 and 0.53 s; evaluating every tied cell
-#: took 3.4 and 4.2 s.  The whole region command takes 0.4 and 0.5 s at
-#: P2 = 6, and 0.4 and 0.8 s at P2 = 0 (a 2-vCPU host).
-MAX_SUPPORT_CELLS = 2**28
 
 #: Most support directions D.  An envelope has at most D + 2 vertices, and the
 #: vertices x directions products of boundary checks peak near 16*D**2 bytes.
@@ -168,14 +165,6 @@ class RunConfig:
                     f"region {sel!r} would evaluate {count} pentagons, more than "
                     f"{MAX_PENTAGONS}; lower --points or --cov-points"
                 )
-        for sel in self.selections:
-            cells = _support_cells(sel, self)
-            if cells > MAX_SUPPORT_CELLS:
-                raise ValueError(
-                    f"region {sel!r} would take {cells} support cells "
-                    f"(points x directions), more than {MAX_SUPPORT_CELLS}; "
-                    f"lower --points or --directions"
-                )
 
 
 def _check_received_power(p1: float, p2: float, b: float) -> None:
@@ -220,14 +209,6 @@ def _pentagon_count(sel: str, cfg: RunConfig) -> int:
     return k
 
 
-def _support_cells(sel: str, cfg: RunConfig) -> int:
-    """Pentagons x directions of sel's one-parameter family, whose prune
-    keeps every pentagon (0 for g, g1 and bcdms, whose prune keeps few)."""
-    if sel in ("g2", "g3p", "capacity", "co1", "co2"):
-        return _points(sel, cfg) * cfg.n_directions
-    return 0
-
-
 def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:
     """Build one named region at the configured grids."""
     k = _points(sel, cfg)
@@ -256,7 +237,7 @@ def _check_emitted_boundary(region: ConvexRegion) -> None:
     # commands check each region once, before they write any file.
     slack = region.boundary @ region.directions.T
     slack -= region.support
-    if slack.size and float(slack.max()) > 1e-9:
+    if slack.size and float(slack.max()) > _BOUNDARY_TOL:
         raise FloatingPointError(
             f"boundary point escapes its region by {float(slack.max()):g} bits"
         )
@@ -552,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"grid points per sweep parameter (default {DEFAULT_GRID}; "
                             f"{DEFAULT_G_GRID} per parameter for g)")
         p.add_argument("--cov-points", type=int, default=DEFAULT_COV_GRID,
-                       help="points per covariance-split dimension (default 41)")
+                       help=f"points per covariance-split dimension (default {DEFAULT_COV_GRID})")
         p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS,
-                       help="support directions over the quadrant (default 721)")
+                       help=f"support directions over the quadrant (default {DEFAULT_DIRECTIONS})")
         p.add_argument("--output", default=".", help="output directory")
 
     p_region = sub.add_parser("region", help="emit boundary polylines")

@@ -4,18 +4,13 @@ A region is represented by support-function samples over the first-quadrant
 arc: the convex hull of a union of pentagons has support equal to the
 pointwise max of the member supports.  Only pentagons with a top corner that
 no other corner beats are kept; the rest never attain the maximum.  The
-maximum itself is located on the convex chain of the kept top corners, so
-each direction evaluates only the few pentagons whose corners lie on or
-within roundoff of its support line, and the result is the same float as
-the max over every pentagon.  A pentagon's value is at most M*c, M the
-larger direction component and c its sum bound, and rounding is monotone,
-so a direction is settled as soon as one candidate reaches M times the
-largest c among them; many pentagons that share a corner then cost two
-evaluations, not one each.  Every hull is built by hull_of_slabs, which
-takes a union as slabs: each slab first loses the pentagons whose top
-corners both lie below the convex chain of the survivors so far, then joins
-those survivors in one running prune, so only they are held while the next
-slab is evaluated.
+maximum itself is read off the convex chain of the kept top corners, one
+binary search per direction, within a few units in the last place of the
+max over every pentagon and exact on the axes.  Every hull is built by
+hull_of_slabs, which takes a union as slabs: each slab first loses the
+pentagons whose top corners both lie below the convex chain of the
+survivors so far, then joins those survivors in one running prune, so only
+they are held while the next slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
@@ -37,16 +32,6 @@ DEFAULT_DIRECTIONS = 721
 
 #: Vertex deduplication / constraint-check tolerance for boundary extraction.
 _BOUNDARY_TOL = 1e-9
-
-#: Band below a direction's support line, relative to the largest pentagon
-#: bound, in which a top corner counts as tied with the maximum.  The closed
-#: form errs by a few units in the last place of the bounds (about 1e-15
-#: relative), so every pentagon whose value can round to the maximum has a
-#: corner in the band.
-_TIE_TOL = 2.0**-42
-
-#: Most pentagon-direction cells the support maximum evaluates at once.
-_BLOCK_CELLS = 2**15
 
 
 def quadrant_directions(n: int) -> np.ndarray:
@@ -150,138 +135,35 @@ def support_max_over_pentagons(
 ) -> np.ndarray:
     """Per-direction max support over a batch of non-empty pentagons.
 
-    A pentagon's support is the larger of its two top corners' and has the
-    LP-dual closed form min(dx*a + dy*b, m*c + (dx-m)*a + (dy-m)*b, M*c) for
-    a pentagon (a, b, c) and direction (dx, dy), with m = min(dx, dy) and
-    M = max(dx, dy).  The first two terms collapse to dx*a + dy*b -
-    m*max(a + b - c, 0), and the third can only bind when the sum
-    constraint is active.
-
-    The maximum is found on the convex chain of all top corners (monotone
-    chain, Andrew 1979), closed by a foot below its first vertex and one
-    left of its last.  One searchsorted of the directions' angles among the
-    chain's edge normals gives each direction its vertex, which widens to
-    the run of vertices within the tie band (_TIE_TOL) of the best.  Moving
-    a corner along (1, 1) onto the chain raises it in every direction and
-    keeps u = x - y, so a corner can round to the maximum only if it lies
-    within the band of the chain and its u falls where the chain is within
-    the band of the best.  Only the pentagons owning such corners, collinear
-    and coincident ones included, are evaluated, so the result is the same
-    float as the max over every pentagon, at a cost of O(P log P + D) for P
-    pentagons and D directions.  On the axes the max is read off the chain
-    exactly, as min(r1, s) or min(r2, s) is all the closed form leaves there.
-
-    Ties can make the candidates many: at P2 = 0 every co1 pentagon owns
-    the corner (0, s).  Each cell's last step is a min with fl(M*c), and
-    rounding is monotone, so no candidate of a direction exceeds its cap
-    fl(M * the largest c among them), and a cell that equals the cap is the
-    maximum, bit for bit.  So a direction with more than two candidates
-    first evaluates its first and last; it is settled if either reaches
-    the cap, and only the directions left open evaluate every candidate.
+    A pentagon's support in a first-quadrant direction is attained at one
+    of its two top corners, so the maximum over the batch is attained at a
+    vertex of the convex chain of all top corners (monotone chain, Andrew
+    1979).  Vertex k is the maximum for the angles between the normals of
+    chain edges k-1 and k, so one searchsorted of the directions' angles
+    among the edge normals finds it; the rounded angles can place it one
+    vertex off, so the largest dx*x + dy*y over it and its two neighbours is
+    taken.  That is within a few units in the last place of the largest
+    bound of the max over every pentagon, by the vertex form or by the
+    LP-dual closed form min(dx*a + dy*b - m*max(a + b - c, 0), M*c), m and
+    M the smaller and larger direction component; it is read off the chain
+    alone, so the same kept corners give the same float in any order.  On
+    the axes it is exactly the chain's largest x or largest y.  The cost is
+    O(P log P + D) for P pentagons and D directions.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
-    x, y = _top_corners(r1, r2, s)
-    bound = max(np.abs(r1).max(), np.abs(r2).max(), np.abs(s).max())
-    tol = _TIE_TOL * bound
-    cx, cy = _corner_chain(x, y)
-    cx = np.concatenate([cx[:1], cx, [x.min() - 1.0 - bound]])
-    cy = np.concatenate([[y.min() - 1.0 - bound], cy, cy[-1:]])
-    u = cx - cy
-    last = cx.size - 1
+    cx, cy = _corner_chain(*_top_corners(r1, r2, s))
     dx, dy = dirs[:, 0], dirs[:, 1]
-
-    # vertex k is the maximum for angles between the normals of edges k-1
-    # and k; widen it to the run of vertices within tol of the best
     normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
-    lo = hi = np.searchsorted(normals, np.arctan2(dy, dx))
-    best = dx * cx[lo] + dy * cy[lo]
-    while True:
-        before, after = np.maximum(lo - 1, 0), np.minimum(hi + 1, last)
-        h_before = dx * cx[before] + dy * cy[before]
-        h_after = dx * cx[after] + dy * cy[after]
-        best = np.maximum(best, np.maximum(h_before, h_after))
-        down = (lo > 0) & (h_before >= best - tol)
-        up = (hi < last) & (h_after >= best - tol)
-        if not (down.any() or up.any()):
-            break
-        lo, hi = lo - down, hi + up
-
-    def reach(end, beyond):
-        """u where the chain from vertex end toward vertex beyond leaves the band."""
-        h_end = dx * cx[end] + dy * cy[end]
-        room, drop = h_end - (best - tol), h_end - (dx * cx[beyond] + dy * cy[beyond])
-        frac = np.divide(room, drop, out=np.zeros_like(drop), where=(room > 0.0) & (drop > 0.0))
-        return u[end] + np.minimum(frac, 1.0) * (u[beyond] - u[end])
-
-    u_top = reach(lo, np.maximum(lo - 1, 0)) + tol
-    u_bottom = reach(hi, np.minimum(hi + 1, last)) - tol
-    # a corner is near when it lies within the band of the chain, and not
-    # so deep on a foot that no sampled direction off the axes reaches it
-    corner_u = x - y
-    on_axis = (dx == 0.0) | (dy == 0.0)
-    lean = np.minimum(dx, dy)[~on_axis].min(initial=1.0)
-    depth = np.maximum(corner_u - u[1], u[-2] - corner_u)
-    near = np.flatnonzero((np.interp(-corner_u, -u, cx) - x <= 2.0 * tol)
-                          & (lean * depth <= 2.0 * tol))
-    near_u, owner = corner_u[near], near % r1.size
-    order = np.lexsort((s[owner], r2[owner], r1[owner], near_u))
-    key = np.column_stack([near_u, r1[owner], r2[owner], s[owner]])[order]
-    # repeated pentagons give the same value, so one copy of each is kept
-    fresh = order[np.append(True, np.any(key[1:] != key[:-1], axis=1))]
-    near_u, owner = near_u[fresh], owner[fresh]
-    start = np.searchsorted(near_u, u_bottom, side="left")
-    counts = np.searchsorted(near_u, u_top, side="right") - start
-    counts[on_axis] = 0
-
-    # the same products, in the same order, as a pentagons x directions
-    # broadcast, so each value is bitwise the same
-    excess = np.maximum(r1 + r2 - s, 0.0)
-    dmin_neg, dmax = -np.minimum(dx, dy), np.maximum(dx, dy)
-
-    def cells(p, j):
-        """The closed form of pentagons p at directions j."""
-        h = r1[p] * dx[j]
-        h += r2[p] * dy[j]
-        h += excess[p] * dmin_neg[j]
-        return np.minimum(h, s[p] * dmax[j], out=h)
-
-    support = np.where(dy == 0.0, cx[0] * dx, np.where(dx == 0.0, cy[-1] * dy, -np.inf))
-    # no candidate exceeds the cap M*c of the largest c among them, so a
-    # direction is settled once one cell reaches it; the two ends of each
-    # range settle most directions whose candidates share a corner, and
-    # save cells only where there are more than two
-    multi = np.flatnonzero(counts > 2)
-    if multi.size:
-        head, tail = start[multi], start[multi] + counts[multi]
-        # reduceat over interleaved (head, tail) pairs: the even results are
-        # the range maxima; the appended entry lets a tail be the length
-        top_s = np.maximum.reduceat(np.append(s[owner], 0.0),
-                                    np.column_stack([head, tail]).ravel())
-        cap = top_s[::2] * dmax[multi]
-        settled = np.maximum(cells(owner[head], multi), cells(owner[tail - 1], multi)) == cap
-        support[multi[settled]] = cap[settled]
-        counts[multi[settled]] = 0
-
-    # cells run direction by direction: direction k has cells ends[k] -
-    # counts[k] to ends[k], for the pentagons owner[start[k]] onward
-    ends, total = np.cumsum(counts), int(counts.sum())
-    shift = start - (ends - counts)
-    # coincident corners of many pentagons all need their own value, so the
-    # cells are evaluated in blocks of bounded size
-    for first in range(0, total, _BLOCK_CELLS):
-        stop = min(first + _BLOCK_CELLS, total)
-        k = np.arange(np.searchsorted(ends, first, side="right"),
-                      np.searchsorted(ends, stop - 1, side="right") + 1)
-        taken = np.minimum(ends[k], stop) - np.maximum(ends[k] - counts[k], first)
-        k, taken = k[taken > 0], taken[taken > 0]
-        j = np.repeat(k, taken)
-        h = cells(owner[np.arange(first, stop) + shift[j]], j)
-        support[k] = np.maximum(support[k], np.maximum.reduceat(h, np.cumsum(taken) - taken))
-    return support
+    k = np.searchsorted(normals, np.arctan2(dy, dx))
+    # the flattest normals can all round to 90 degrees; the r2 axis takes
+    # the last vertex, as the r1 axis takes the first
+    k[dx == 0.0] = cx.size - 1
+    near = np.clip(k + np.arange(-1, 2)[:, None], 0, cx.size - 1)
+    return np.max(dx * cx[near] + dy * cy[near], axis=0)
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
@@ -437,7 +319,8 @@ def hull_of_slabs(
     union is cut into slabs, but none that can attain the maximum is
     dropped, so the support is the same float for every cut and order.
     Raises ValueError when no pentagon is non-empty.  The support at each
-    direction is exactly the max of the member supports.
+    direction is the max of the member supports, to within a few units in
+    the last place of the largest bound (see support_max_over_pentagons).
     """
     bad = 0
     r1 = r2 = s = np.empty(0)

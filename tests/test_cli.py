@@ -135,11 +135,10 @@ class TestExitCodes:
         ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "bcdms"],
         ["region", "--p1", "1e200", "--p2", "0", "--b", "0", "--select", "g3p"],
         ["region", "--select", "g2,co1", "--directions", "721000"],
-        ["region", "--select", "co2", "--points", "1000000", "--directions", "4097"],
     ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid",
             "overflowing-gain", "overflowing-figure-gain", "g3p-lambda-total",
             "co1-power-product", "bcdms-power-product", "g3p-own-relayed",
-            "oversized-directions", "oversized-support-work"])
+            "oversized-directions"])
     def test_out_of_contract_input_is_usage_error(self, argv, tmp_path,
                                                   monkeypatch, capsys):
         def built(*args, **kwargs):
@@ -165,23 +164,16 @@ class TestExitCodes:
             # fig3's g at 300 points: 27 million pentagons
             RunConfig(command="figure", p1=6, p2=6, b=2, figure="fig3", n_points=300)
 
-    def test_support_budget_bounds_points_times_directions(self):
-        nd = cli.MAX_DIRECTIONS
-        k = cli.MAX_SUPPORT_CELLS // nd
+    def test_one_parameter_families_are_bounded_by_pentagons_alone(self, tmp_path, capsys):
+        # the support maximum is O(P log P + D), so points x directions
+        # needs no guard of its own
+        argv = ["region", "--select", "co1,co2", "--points", "65521",
+                "--directions", str(cli.MAX_DIRECTIONS), "--output", str(tmp_path)]
+        assert main(argv) == 0, capsys.readouterr().err
         for sel in ("g2", "g3p", "capacity", "co1", "co2"):
-            RunConfig(command="region", p1=6, p2=6, b=2, selections=(sel,),
-                      n_points=k, n_directions=nd)
-            with pytest.raises(ValueError, match="support cells"):
+            with pytest.raises(ValueError, match="pentagons"):
                 RunConfig(command="region", p1=6, p2=6, b=2, selections=(sel,),
-                          n_points=k + 1, n_directions=nd)
-        # the prune keeps few pentagons of g, g1 and bcdms: only the
-        # pentagon guard bounds them
-        RunConfig(command="region", p1=6, p2=6, b=2, selections=("g", "g1", "bcdms"),
-                  n_points=201, n_directions=nd)
-        with pytest.raises(ValueError, match="pentagons"):
-            # past both guards: the pentagon message comes first
-            RunConfig(command="region", p1=6, p2=6, b=2, selections=("g2",),
-                      n_points=cli.MAX_PENTAGONS + 1, n_directions=nd)
+                          n_points=cli.MAX_PENTAGONS + 1, n_directions=cli.MAX_DIRECTIONS)
 
     @pytest.mark.parametrize("p1, p2, b", [
         (1e-300, 1e300, 1e200),  # b*b overflows

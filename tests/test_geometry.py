@@ -128,7 +128,7 @@ class TestPentagonSupport:
             mask = geometry._owns_undominated_corner(r1, r2, np.full(2, 10.0))
             assert mask.tolist() == [True, kept], corner
 
-    def test_order_repeats_slabs_and_blocks_do_not_change_the_support(self, monkeypatch):
+    def test_order_repeats_and_slabs_do_not_change_the_support(self):
         # box pentagons with corners on a quarter circle (each one a maximum)
         # beside random ones
         rng = np.random.default_rng(12)
@@ -148,8 +148,6 @@ class TestPentagonSupport:
         assert np.array_equal(hull_of_slabs(slabs, 181).support,
                               hull_of_slabs([(a, b, c)], 181).support)
         assert np.array_equal(hull_of_slabs([(a, b, c)], 181).support, ref)
-        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 7)
-        assert np.array_equal(support_max_over_pentagons(a, b, c, dirs), ref)
 
 
 def _broadcast_support(r1, r2, s, dirs):
@@ -230,37 +228,77 @@ def _kernel_families():
     return fams
 
 
-@pytest.mark.parametrize("n_directions", [181, 721])
-def test_kernel_matches_the_broadcast_formula_bit_for_bit(n_directions):
+def _corner_support(r1, r2, s, dirs):
+    """dx*x + dy*y over every top corner of every pentagon, max over corners."""
+    x, y = geometry._top_corners(r1, r2, s)
+    return (x[:, None] * dirs[:, 0] + y[:, None] * dirs[:, 1]).max(axis=0)
+
+
+@pytest.mark.parametrize("n_directions", [181, 721, 4097])
+def test_kernel_is_within_8_ulps_of_the_closed_form_and_the_corners(n_directions):
     dirs = quadrant_directions(n_directions)
     for name, r1, r2, s in _kernel_families():
         got = support_max_over_pentagons(r1, r2, s, dirs)
-        assert np.array_equal(got, _broadcast_support(r1, r2, s, dirs)), name
+        tol = 8.0 * np.spacing(max(r1.max(), r2.max(), s.max()))
+        assert np.abs(got - _broadcast_support(r1, r2, s, dirs)).max() <= tol, name
+        assert np.abs(got - _corner_support(r1, r2, s, dirs)).max() <= tol, name
 
 
 @pytest.mark.parametrize("n_directions", [181, 721])
-def test_small_blocks_match_the_broadcast_formula_bit_for_bit(n_directions, monkeypatch):
-    # directions that the cap leaves open are spread over many blocks
-    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 7)
-    dirs = quadrant_directions(n_directions)
-    for name, r1, r2, s in _kernel_families():
-        got = support_max_over_pentagons(r1, r2, s, dirs)
-        assert np.array_equal(got, _broadcast_support(r1, r2, s, dirs)), name
-
-
-@pytest.mark.parametrize("n_directions", [181, 721])
-def test_sliced_hull_matches_the_broadcast_formula_bit_for_bit(n_directions):
+def test_sliced_hull_matches_the_one_slab_hull_bit_for_bit(n_directions):
     # each slab is filtered by the chain of the survivors before it, so ties,
     # repeats and corners a few ulps apart must reach the kernel across slabs
     rng = np.random.default_rng(43)
-    dirs = quadrant_directions(n_directions)
     for name, r1, r2, s in _kernel_families():
-        ref = _broadcast_support(r1, r2, s, dirs)
+        ref = hull_of_slabs([(r1, r2, s)], n_directions).support
         for order in (np.arange(r1.size), rng.permutation(r1.size)):
             cuts = np.sort(rng.integers(0, r1.size + 1, rng.integers(1, 9)))
             slabs = [np.split(v[order], cuts) for v in (r1, r2, s)]
             got = hull_of_slabs(zip(*slabs), n_directions).support
             assert np.array_equal(got, ref), name
+
+
+def test_axis_supports_are_the_largest_corner_coordinates():
+    dirs = quadrant_directions(181)
+    for name, r1, r2, s in _kernel_families():
+        got = support_max_over_pentagons(r1, r2, s, dirs)
+        assert got[0] == np.minimum(r1, s).max(), name
+        assert got[-1] == np.minimum(r2, s).max(), name
+    # box corners whose two chain edges are so flat that both normals
+    # round to 90 degrees: the r2 axis still gets the highest corner
+    top = 1.0 + 2.0 * np.spacing(1.0)
+    r1, r2 = np.array([10.0, 6.0, 0.0]), np.array([1.0, 1.0 + np.spacing(1.0), top])
+    assert geometry._corner_chain(r1, r2)[0].size == 3
+    got = support_max_over_pentagons(r1, r2, np.full(3, 20.0), dirs)
+    assert got[0] == 10.0 and got[-1] == top
+
+
+def test_one_vertex_chain_is_the_maximum_in_every_direction():
+    # one box, and boxes and a sum face whose corners (1, 1) beats or meets
+    dirs = quadrant_directions(181)
+    got = support_max_over_pentagons(np.array([1.25]), np.array([0.5]), np.array([2.0]), dirs)
+    assert np.array_equal(got, dirs[:, 0] * 1.25 + dirs[:, 1] * 0.5)
+    r1, r2, s = np.array([(1.0, 1.0, 2.5), (0.5, 1.0, 2.5), (1.0, 0.75, 2.5),
+                          (1.0, 1.0, 9.0), (0.25, 3.0, 1.0)]).T
+    assert geometry._corner_chain(*geometry._top_corners(r1, r2, s))[0].size == 1
+    got = support_max_over_pentagons(r1, r2, s, dirs)
+    assert np.array_equal(got, dirs[:, 0] * 1.0 + dirs[:, 1] * 1.0)
+    assert np.array_equal(got, _corner_support(r1, r2, s, dirs))
+
+
+def test_edge_across_a_direction_gives_its_better_end():
+    # two box corners on a line orthogonal to a sampled direction: the
+    # rounded edge normal and direction angle pick either end, so the
+    # kernel must weigh both; about 1 in 10 of these picks the lower one
+    dirs = quadrant_directions(181)
+    rng = np.random.default_rng(5)
+    for i in rng.integers(1, 180, 300):
+        x1, y1, length = rng.uniform(1.0, 3.0), rng.uniform(0.0, 1.0), rng.uniform(0.5, 0.9)
+        r1 = np.array([x1, x1 - length * dirs[i, 1]])
+        r2 = np.array([y1, y1 + length * dirs[i, 0]])
+        s = np.full(2, 10.0)
+        got = support_max_over_pentagons(r1, r2, s, dirs)
+        assert np.array_equal(got, _corner_support(r1, r2, s, dirs)), (r1, r2)
 
 
 def _loop_chain(x, y):
