@@ -33,6 +33,7 @@ from .bounds import DEFAULT_COV_GRID, bcdms_region, co1_region, co2_region
 from .gaussian import (
     DEFAULT_G_GRID,
     DEFAULT_GRID,
+    SEED_GRID,
     b_star,
     capacity_region,
     g1_region,
@@ -69,14 +70,15 @@ REGIME_TOL = 5e-5
 #: Most pentagons one region may evaluate.  g is evaluated and pruned in
 #: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
 #: grid, so for them this bounds work, not memory.  g at --points 201
-#: (8,120,802) and every default fit.  bcdms counts as n_cov**3, about the
-#: entries its run search reads (one PSD test per (p1_priv, p2_priv,
-#: c_tot)), which admits --cov-points up to 203 (bcdms or co2 at 203
-#: points: about 0.2 s in process, and a 39 MB peak for the whole command,
-#: on a 2-vCPU host).  A one-parameter family keeps its pentagons whole,
-#: and its support maximum is O(P log P + D), so this bounds it alone:
-#: capacity at P2 = 0 with 8,000,000 points and 4097 directions takes
-#: 13 s and a 1.8 GB peak on that host.
+#: (8,122,144 with its seed sub-grid) and every default fit; g at 201
+#: takes about 0.8 s in process and a 34 MB peak for the whole command on
+#: a 2-vCPU host.  bcdms counts as n_cov**3, about the entries its run
+#: search reads (one PSD test per (p1_priv, p2_priv, c_tot)), which admits
+#: --cov-points up to 203 (bcdms or co2 at 203 points: about 0.2 s and a
+#: 39 MB peak on that host).  A one-parameter family keeps its pentagons
+#: whole, and its support maximum is O(P log P + D), so this bounds it
+#: alone: capacity at P2 = 0 with 8,000,000 points and 4097 directions
+#: takes about 8 s and a 1.9 GB peak on that host.
 MAX_PENTAGONS = 2**23
 
 #: Most support directions D.  An envelope has at most D + 2 vertices, and the
@@ -194,14 +196,16 @@ def _points(sel: str, cfg: RunConfig) -> int:
 
 
 def _pentagon_count(sel: str, cfg: RunConfig) -> int:
-    """Pentagons build_region evaluates for sel, empty or not (for bcdms
-    the n_cov**3 entries its run search reads, since it evaluates only the
-    top of each feasible c_priv run)."""
+    """Pentagons build_region evaluates for sel, empty or not (for g and
+    g1 their grid and their seed sub-grid of at most SEED_GRID points per
+    parameter; for bcdms the n_cov**3 entries its run search reads, since
+    it evaluates only the top of each feasible c_priv run)."""
     k = _points(sel, cfg)
+    m = min(k, SEED_GRID)
     if sel == "g":
-        return k**3 + k
+        return k**3 + k + m**3 + m
     if sel == "g1":
-        return k**2 + 1
+        return k**2 + 1 + m**2 + 1
     if sel == "bcdms":
         return cfg.n_cov**3
     if sel == "co2":
@@ -380,6 +384,9 @@ def cmd_region(cfg: RunConfig) -> int:
     for region in regions.values():
         _check_emitted_boundary(region)
     tag = _channel_tag(cfg.p1, cfg.p2, cfg.b)
+    # a report is named by its selections too, so runs with other
+    # selections into one directory keep their own reports
+    sels = "-".join(cfg.selections)
     written = []
     if cfg.fmt == "csv":
         for sel in cfg.selections:
@@ -387,7 +394,7 @@ def cmd_region(cfg: RunConfig) -> int:
             write_csv(path, regions[sel])
             written.append(path)
     elif cfg.fmt == "svg":
-        path = os.path.join(cfg.output, f"region_{tag}.svg")
+        path = os.path.join(cfg.output, f"region_{sels}_{tag}.svg")
         write_svg(path, [(regions[s].provenance, regions[s]) for s in cfg.selections])
         written.append(path)
     else:
@@ -406,7 +413,7 @@ def cmd_region(cfg: RunConfig) -> int:
         parts = json.dumps(doc, indent=2).split(slot + "[]")
         blocks = [slot + _json_vertices(regions[sel].boundary) for sel in cfg.selections]
         text = "".join(p + b for p, b in zip(parts, blocks)) + parts[-1]
-        path = os.path.join(cfg.output, f"region_{tag}.json")
+        path = os.path.join(cfg.output, f"region_{sels}_{tag}.json")
         with open(path, "w", newline="") as fh:
             fh.write(text + "\n")
         written.append(path)

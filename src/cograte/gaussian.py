@@ -17,9 +17,11 @@ convex hulls of those pentagons over the grid.  The families are:
 All parameters are power splits in [0, 1]; alpha divides the cognitive
 power between its own message (alpha) and relaying the primary's (1-alpha).
 Every family hands its bounds to ``geometry.hull_of_slabs``: the one-parameter
-families as one slab, ``g`` and ``g1`` as slabs of whole alpha rows, each
-joining one running prune before the next is evaluated, so their memory is
-bounded by one slab and the survivors so far.
+families as one slab, ``g`` and ``g1`` as a coarse seed slab (at most
+SEED_GRID points per parameter, ends included) and then slabs of whole
+alpha rows.  The seed's corner chain prunes each row slab before the next
+is evaluated, so their memory is bounded by one slab and the survivors so
+far.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ DEFAULT_G_GRID = 101
 #: Most pentagons one slab of the rate-splitting family holds: the family
 #: is evaluated and pruned slab by slab, so this bounds its memory.
 _SLAB_PENTAGONS = 2**16
+
+#: Most points per parameter of the seed slab that the rate-splitting
+#: families g and g1 evaluate before their grid (ends included).
+SEED_GRID = 11
 
 
 def _check_unit(name: str, value) -> np.ndarray:
@@ -193,24 +199,41 @@ def _unit_grid(n: int, name: str) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
-    """ga and gb bounds over whole alpha rows, as (r1, r2, s) slabs of flat arrays.
+def _rate_split_bounds(ch: ChannelParams, alphas, betas, thetas):
+    """ga and gb bounds over the grid alphas x betas x thetas, as flat (r1, r2, s).
 
-    A slab holds as many rows as fit in _SLAB_PENTAGONS (at least one).
     theta is irrelevant once alpha reaches 1 (no relayed power), so an
     alpha=1 row is generated with a single theta to avoid duplicates.
     """
+    parts = (
+        _ga_arrays(ch, alphas[alphas < 1.0][:, None, None], betas[None, :, None],
+                   thetas[None, None, :]),
+        _ga_arrays(ch, alphas[alphas == 1.0][:, None], betas[None, :], 0.0),
+        _gb_arrays(ch, alphas[:, None], betas[None, :]),
+    )
+    flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
+    return tuple(np.concatenate(bounds) for bounds in zip(*flat))
+
+
+def _seed_points(grid: np.ndarray) -> np.ndarray:
+    """At most SEED_GRID points of grid, evenly spread, both ends included."""
+    return grid[np.linspace(0, grid.size - 1, min(grid.size, SEED_GRID)).round().astype(int)]
+
+
+def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
+    """ga and gb bounds as (r1, r2, s) slabs of flat arrays: a seed, then whole alpha rows.
+
+    The seed slab is the sub-grid of _seed_points on each axis, so its
+    corner chain is already close to the hull and prunes most of every
+    later slab; its pentagons are taken from the same grid arrays, so each
+    is bit for bit a member of the family and the hull is unchanged.  Each
+    later slab holds as many alpha rows as fit in _SLAB_PENTAGONS (at least
+    one).
+    """
+    yield _rate_split_bounds(ch, *(_seed_points(g) for g in (alphas, betas, thetas)))
     rows = max(1, _SLAB_PENTAGONS // (betas.size * (thetas.size + 1)))
     for lo in range(0, alphas.size, rows):
-        a = alphas[lo:lo + rows]
-        parts = (
-            _ga_arrays(ch, a[a < 1.0][:, None, None], betas[None, :, None],
-                       thetas[None, None, :]),
-            _ga_arrays(ch, a[a == 1.0][:, None], betas[None, :], 0.0),
-            _gb_arrays(ch, a[:, None], betas[None, :]),
-        )
-        flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
-        yield tuple(np.concatenate(bounds) for bounds in zip(*flat))
+        yield _rate_split_bounds(ch, alphas[lo:lo + rows], betas, thetas)
 
 
 def g_region(

@@ -2,15 +2,14 @@
 
 A region is represented by support-function samples over the first-quadrant
 arc: the convex hull of a union of pentagons has support equal to the
-pointwise max of the member supports.  Only pentagons with a top corner that
-no other corner beats are kept; the rest never attain the maximum.  The
-maximum itself is read off the convex chain of the kept top corners, one
-binary search per direction, within a few units in the last place of the
-max over every pentagon and exact on the axes.  Every hull is built by
-hull_of_slabs, which takes a union as slabs: each slab first loses the
-pentagons whose top corners both lie below the convex chain of the
-survivors so far, then joins those survivors in one running prune, so only
-they are held while the next slab is evaluated.
+pointwise max of the member supports.  A pentagon's support in such a
+direction is attained at one of its two top corners, so the maximum is
+read off the convex chain of the top corners, one binary search per
+direction, within a few units in the last place of the max over every
+pentagon and exact on the axes.  Every hull is built by hull_of_slabs,
+which takes a union as slabs and prunes each later slab by the corner
+chain of the survivors so far (Akl and Toussaint, IPL 1978), so only they
+are held while the next slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
@@ -20,6 +19,7 @@ halfplanes and is traced by a sorted-angle halfplane intersection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,10 +34,12 @@ DEFAULT_DIRECTIONS = 721
 _BOUNDARY_TOL = 1e-9
 
 
+@functools.lru_cache(maxsize=16)
 def quadrant_directions(n: int) -> np.ndarray:
     """n unit vectors with angles uniform over [0, 90] degrees, as an (n, 2) array.
 
-    The first row is exactly (1, 0) and the last exactly (0, 1).
+    The first row is exactly (1, 0) and the last exactly (0, 1).  The array
+    is built once per n and shared by every caller, so it is read-only.
     """
     if n < 3:
         raise ValueError(f"need at least 3 directions, got {n}")
@@ -45,6 +47,7 @@ def quadrant_directions(n: int) -> np.ndarray:
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     dirs[0] = (1.0, 0.0)
     dirs[-1] = (0.0, 1.0)
+    dirs.flags.writeable = False
     return dirs
 
 
@@ -78,27 +81,6 @@ def _top_corners(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> tuple[np.ndar
     return x, y
 
 
-def _owns_undominated_corner(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Mask of the pentagons with a top corner that no other corner beats.
-
-    Beating means exceeding by more than _BOUNDARY_TOL in both coordinates,
-    which lowers the support in every unit first-quadrant direction by at
-    least that much, far above roundoff; so a pentagon whose two top corners
-    are both beaten is never the maximum.  Maxima of a set of vectors (Kung,
-    Luccio and Preparata, JACM 1975): sort by x, running max of y, bisect.
-    """
-    n = r1.size
-    x, y = _top_corners(r1, r2, s)
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    # best_y[i] is the largest y among the corners sorted at or after i
-    best_y = np.append(np.maximum.accumulate(y[::-1])[::-1], -np.inf)
-    first_ahead = np.searchsorted(x, x + _BOUNDARY_TOL, side="right")
-    beaten = np.empty(2 * n, dtype=bool)
-    beaten[order] = best_y[first_ahead] > y + _BOUNDARY_TOL
-    return ~(beaten[:n] & beaten[n:])
-
-
 def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper-right convex chain of the points, from the largest x to the largest y.
 
@@ -110,7 +92,10 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     turn test (the loop's own, in the same floats) returns a convex
     staircase as it stands; any other runs the loop.
     """
-    order = np.lexsort((-y, -x))
+    # by decreasing x, ties by decreasing y: two sorts, the second stable,
+    # are faster than np.lexsort
+    o = np.argsort(-y)
+    order = o[np.argsort(-x[o], kind="stable")]
     xs, ys = x[order], y[order]
     stair = np.append(True, ys[1:] > np.maximum.accumulate(ys)[:-1])
     xs, ys = xs[stair], ys[stair]
@@ -128,6 +113,17 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         chain.append(p)
     cx, cy = np.array(chain).T
     return cx, cy
+
+
+def _near_chain(cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the points at most _BOUNDARY_TOL below the chain along (1, 1).
+
+    Feet outside the quadrant close the chain, so one interp moves every
+    point along (1, 1) onto it.
+    """
+    cx = np.concatenate([cx[:1], cx, [-1.0]])
+    cy = np.concatenate([[-1.0], cy, cy[-1:]])
+    return np.interp(y - x, cy - cx, cx) - x <= _BOUNDARY_TOL
 
 
 def support_max_over_pentagons(
@@ -308,14 +304,14 @@ def hull_of_slabs(
     The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
     at a time.  Bounds must be finite, as in Pentagon; ValueError names the
     count of NaN or infinite bounds over all slabs.  Each slab drops its
-    empty pentagons (any negative bound), then, once there are survivors,
-    the pentagons whose two top corners both lie more than _BOUNDARY_TOL
-    below the survivors' corner chain along (1, 1).  Such a corner is lower
-    by at least that much than the survivors' support in every unit
-    first-quadrant direction, so it never attains the maximum.  The rest
-    join the survivors, and of these the pentagons without a top corner
-    that no other corner beats are dropped, so only the survivors are held
-    while the next slab is evaluated.  The kept pentagons depend on how the
+    empty pentagons (any negative bound).  A later slab also drops, by the
+    survivors' corner chain, the pentagons whose two top corners both lie
+    more than _BOUNDARY_TOL below it along (1, 1): such a corner is lower by
+    at least that much than the survivors' support in every unit
+    first-quadrant direction, so it never attains the maximum.  The box
+    corner (min(r1, s), min(r2, s)) lies at or above both top corners, so
+    it screens the slab first; the survivors are cut by the same test and
+    the rest of the slab joins them.  The kept pentagons depend on how the
     union is cut into slabs, but none that can attain the maximum is
     dropped, so the support is the same float for every cut and order.
     Raises ValueError when no pentagon is non-empty.  The support at each
@@ -333,20 +329,17 @@ def hull_of_slabs(
         # would give it one, so it must not survive the prune
         live = (slab[0] >= 0.0) & (slab[1] >= 0.0) & (slab[2] >= 0.0)
         slab = [v[live] for v in slab]
-        if r1.size:
-            # the survivors' chain, closed by feet below and left of it outside
-            # the quadrant, so every corner's u = x - y falls on it; interp
-            # moves each corner along (1, 1) onto the chain
-            cx, cy = _corner_chain(*_top_corners(r1, r2, s))
-            cx = np.concatenate([cx[:1], cx, [-1.0]])
-            cy = np.concatenate([[-1.0], cy, cy[-1:]])
-            x, y = _top_corners(*slab)
-            below = np.interp(y - x, cy - cx, cx) - x > _BOUNDARY_TOL
-            n = slab[0].size
-            slab = [v[~(below[:n] & below[n:])] for v in slab]
+        if r1.size and slab[0].size:
+            x, y = _top_corners(r1, r2, s)
+            cx, cy = _corner_chain(x, y)
+            near, n = _near_chain(cx, cy, x, y), r1.size
+            r1, r2, s = (v[near[:n] | near[n:]] for v in (r1, r2, s))
+            box = _near_chain(cx, cy, np.minimum(slab[0], slab[2]),
+                              np.minimum(slab[1], slab[2]))
+            slab = [v[box] for v in slab]
+            near, n = _near_chain(cx, cy, *_top_corners(*slab)), slab[0].size
+            slab = [v[near[:n] | near[n:]] for v in slab]
         r1, r2, s = (np.concatenate([kept, v]) for kept, v in zip((r1, r2, s), slab))
-        own = _owns_undominated_corner(r1, r2, s)
-        r1, r2, s = r1[own], r2[own], s[own]
     if bad:
         raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
     if not r1.size:

@@ -164,6 +164,16 @@ class TestExitCodes:
             # fig3's g at 300 points: 27 million pentagons
             RunConfig(command="figure", p1=6, p2=6, b=2, figure="fig3", n_points=300)
 
+    @pytest.mark.parametrize("k", [2, 5, 13])
+    def test_grid_guard_counts_every_pentagon_g_and_g1_evaluate(self, k):
+        # the seed sub-grid as well as the grid
+        cfg = RunConfig(command="region", p1=6, p2=6, b=2, selections=("g", "g1"),
+                        n_points=k)
+        grid = np.linspace(0.0, 1.0, k)
+        for sel, betas in (("g", grid), ("g1", np.zeros(1))):
+            slabs = gaussian._rate_split_slabs(ChannelParams(6, 6, 2), grid, betas, grid)
+            assert cli._pentagon_count(sel, cfg) == sum(r1.size for r1, _, _ in slabs)
+
     def test_one_parameter_families_are_bounded_by_pentagons_alone(self, tmp_path, capsys):
         # the support maximum is O(P log P + D), so points x directions
         # needs no guard of its own
@@ -350,6 +360,24 @@ class TestRegionCommand:
         for r in doc["regions"]:
             arr = np.array(r["boundary_bits"])
             assert arr.ndim == 2 and np.isfinite(arr).all()
+
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_reports_with_other_selections_keep_their_own_names(
+            self, fmt, tmp_path, capsys):
+        # the same channel twice into one directory: neither report replaces
+        # the other
+        written = {}
+        for sels in ("g3p,co1", "g2,capacity"):
+            assert main(["region", "--select", sels, "--format", fmt,
+                         "--output", str(tmp_path), *SMALL]) == 0
+            (path,) = capsys.readouterr().out.split()
+            written[sels] = Path(path)
+        assert written["g3p,co1"].name == f"region_g3p-co1_p16_p26_b1.{fmt}"
+        assert sorted(tmp_path.iterdir()) == sorted(written.values())
+        for sels, path in written.items():
+            text = path.read_text()
+            for sel in sels.split(","):
+                assert f"{sel}(P1=6,P2=6,b=1)" in text
 
     def test_svg_output(self, tmp_path, capsys):
         code = main(["region", "--p1", "6", "--p2", "6", "--b", "1.3628",

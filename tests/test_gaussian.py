@@ -316,6 +316,10 @@ def _every_rate_split_pentagon(ch, alphas, betas, thetas):
     return [np.concatenate(bounds) for bounds in zip(*flat)]
 
 
+def _family_triples(bounds):
+    return set(zip(*(v.tolist() for v in bounds)))
+
+
 class TestRateSplitSlabs:
     @pytest.mark.parametrize("p2", [6.0, 0.0])
     @pytest.mark.parametrize("b", [1.0, 1.3628, 3.3628])
@@ -323,11 +327,11 @@ class TestRateSplitSlabs:
         ch = ChannelParams(6.0, p2, b)
         na, nb, nt = 23, 7, 9
         alphas, betas, thetas = (np.linspace(0.0, 1.0, n) for n in (na, nb, nt))
-        slab_sizes = []
+        slabs_seen = []
 
         def recorded(slabs, *args, **kwargs):
             slabs = list(slabs)
-            slab_sizes.append([r1.size for r1, _, _ in slabs])
+            slabs_seen.append(slabs)
             return hull(slabs, *args, **kwargs)
 
         hull = gaussian.hull_of_slabs
@@ -337,9 +341,15 @@ class TestRateSplitSlabs:
         g = g_region(ch, na, nb, nt, 181)
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * (nt + 1))
         g1 = g1_region(ch, na, nt, 181)
-        assert len(slab_sizes) == 2
-        for sizes, rows in zip(slab_sizes, (nb, 1)):
-            assert sizes == [2 * rows * (nt + 1)] * 11 + [2 * rows]
+        assert len(slabs_seen) == 2
+        # the seed: 11 of the 23 alphas, indices 2.2 apart and rounded, and
+        # every beta and theta, as there are at most SEED_GRID of them
+        seed_alphas = alphas[[0, 2, 4, 7, 9, 11, 13, 15, 18, 20, 22]]
+        for slabs, bt in zip(slabs_seen, (betas, np.zeros(1))):
+            rows = bt.size
+            assert [r1.size for r1, _, _ in slabs[1:]] == [2 * rows * (nt + 1)] * 11 + [2 * rows]
+            seed = _every_rate_split_pentagon(ch, seed_alphas, bt, thetas)
+            assert all(np.array_equal(a, b) for a, b in zip(slabs[0], seed))
         for region, bt in ((g, betas), (g1, np.zeros(1))):
             one_shot = hull_of_slabs(
                 [_every_rate_split_pentagon(ch, alphas, bt, thetas)], 181)
@@ -348,17 +358,32 @@ class TestRateSplitSlabs:
 
     @pytest.mark.parametrize("b", [1.3628, 3.3628])
     def test_g_across_slabs_matches_one_slab(self, b, monkeypatch):
-        # each slab after the first is filtered by the survivors' chain
+        # each slab after the seed is filtered by the survivors' chain
         ch = ChannelParams(6.0, 6.0, b)
         grid = np.linspace(0.0, 1.0, 31)
-        monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2**30)
-        assert len(list(gaussian._rate_split_slabs(ch, grid, grid, grid))) == 1
-        one_slab = g_region(ch, 31, 31, 31)
+        one_slab = hull_of_slabs([_every_rate_split_pentagon(ch, grid, grid, grid)])
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 4 * 31 * 32)
-        assert len(list(gaussian._rate_split_slabs(ch, grid, grid, grid))) == 8
+        assert len(list(gaussian._rate_split_slabs(ch, grid, grid, grid))) == 1 + 8
         sliced = g_region(ch, 31, 31, 31)
         assert np.array_equal(sliced.support, one_slab.support)
         assert np.array_equal(sliced.boundary, one_slab.boundary)
+
+    @pytest.mark.parametrize("n", [2, 11, 23, 37, 51])
+    def test_seed_slab_changes_no_bit(self, n):
+        ch = ChannelParams(6.0, 6.0, 3.3628)
+        grid = np.linspace(0.0, 1.0, n)
+        # both ends, evenly spread, at most SEED_GRID points
+        pts = gaussian._seed_points(grid)
+        assert pts.size == min(n, gaussian.SEED_GRID)
+        assert pts[0] == 0.0 and pts[-1] == 1.0 and np.all(np.diff(pts) > 0.0)
+        for betas, region in ((grid, g_region(ch, n, n, n)),
+                              (np.zeros(1), g1_region(ch, n, n))):
+            seed, *rows = gaussian._rate_split_slabs(ch, grid, betas, grid)
+            assert _family_triples(seed) <= _family_triples(
+                [np.concatenate(v) for v in zip(*rows)])
+            without = hull_of_slabs(rows)
+            assert np.array_equal(region.support, without.support)
+            assert np.array_equal(region.boundary, without.boundary)
 
     def test_default_g_slabs_bound_memory(self):
         # the whole 101^3 family at once peaked near 200 MB

@@ -58,6 +58,13 @@ class TestQuadrantDirections:
         with pytest.raises(ValueError, match="at least 3"):
             quadrant_directions(2)
 
+    def test_built_once_per_n_and_read_only(self):
+        d = quadrant_directions(181)
+        assert quadrant_directions(181) is d
+        assert hull_of_union([Pentagon(1.0, 1.0, 1.5)], 181).directions is d
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 0] = 2.0
+
 
 class TestPentagonSupport:
     def test_axis_direction(self):
@@ -118,15 +125,16 @@ class TestPentagonSupport:
             pruned = hull_of_slabs([(a, b, c)], dirs.shape[0]).support
             assert np.array_equal(pruned, single)
 
-    def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self):
-        # box pentagons (r1 + r2 <= s): both top corners are (r1, r2)
+    def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self, monkeypatch):
+        # box pentagons (r1 + r2 <= s): both top corners are (r1, r2), and
+        # the first slab's chain is its one corner (1, 1)
         for corner, kept in (((1 - 1e-6, 1 - 1e-6), False),
                              ((1 - 1e-10, 1 - 1e-10), True),
                              ((1 - 1e-6, 1 + 1e-10), True),
                              ((1 + 1e-10, 1 - 1e-6), True)):
-            r1, r2 = np.array([(1.0, 1.0), corner]).T
-            mask = geometry._owns_undominated_corner(r1, r2, np.full(2, 10.0))
-            assert mask.tolist() == [True, kept], corner
+            slabs = [([1.0], [1.0], [10.0]), ([corner[0]], [corner[1]], [10.0])]
+            _, bounds = _kernel_input(monkeypatch, slabs)
+            assert bounds[0] == [1.0] + ([corner[0]] if kept else []), corner
 
     def test_order_repeats_and_slabs_do_not_change_the_support(self):
         # box pentagons with corners on a quarter circle (each one a maximum)
@@ -431,13 +439,14 @@ def _kernel_input(monkeypatch, slabs, n_directions=181):
     return reg, bounds
 
 
-class TestUndominatedPentagons:
+class TestSlabPrune:
     def test_empty_pentagon_does_not_prune_a_real_one(self, monkeypatch):
         # r1 < 0 makes it empty, though its other bounds dwarf the real one
-        slab = ([-1e-3, 1.0], [100.0, 1.0], [100.0, 1.5])
-        reg, bounds = _kernel_input(monkeypatch, [slab])
-        assert bounds == ([1.0], [1.0], [1.5])
-        assert np.array_equal(reg.support, _hull(Pentagon(1.0, 1.0, 1.5), n=181).support)
+        for slabs in ([([-1e-3, 1.0], [100.0, 1.0], [100.0, 1.5])],
+                      [([1.0], [1.0], [1.5]), ([-1e-3], [100.0], [100.0])]):
+            reg, bounds = _kernel_input(monkeypatch, slabs)
+            assert bounds == ([1.0], [1.0], [1.5])
+            assert np.array_equal(reg.support, _hull(Pentagon(1.0, 1.0, 1.5), n=181).support)
 
     def test_non_finite_bounds_are_counted_over_all_slabs(self):
         slabs = [([1.0, np.nan], [1.0, 1.0], [1.5, 1.5]),
@@ -454,7 +463,7 @@ class TestUndominatedPentagons:
                                       [0, 1, 2, 3, 3000],
                                       list(range(0, 3001, 100))])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_running_prune_gives_the_one_prune_hull(self, monkeypatch, cuts, reverse):
+    def test_running_prune_gives_the_one_slab_hull(self, monkeypatch, cuts, reverse):
         rng = np.random.default_rng(5)
         r1, r2 = rng.uniform(0.0, 2.0, (2, 3000))
         s = rng.uniform(0.5, 1.0, 3000) * (r1 + r2)
@@ -462,9 +471,8 @@ class TestUndominatedPentagons:
         slabs = [(r1[a:b], r2[a:b], s[a:b]) for a, b in zip(cuts, cuts[1:])]
         if reverse:
             slabs = slabs[::-1]
-        survivors = [geometry._owns_undominated_corner(*slab).sum() for slab in slabs]
-        assert sum(survivors) > len(whole_bounds[0])
-        pieces = hull_of_slabs(slabs, 181)
+        pieces, piece_bounds = _kernel_input(monkeypatch, slabs)
+        assert len(piece_bounds[0]) < len(whole_bounds[0]) == 3000
         assert np.array_equal(pieces.support, whole.support)
         assert np.array_equal(pieces.boundary, whole.boundary)
 
@@ -477,10 +485,39 @@ class TestUndominatedPentagons:
             slab = ([1.0 - t], [1.0 - t], [10.0])
             _, bounds = _kernel_input(monkeypatch, [survivors, slab])
             assert bounds[0] == survivors[0] + ([1.0 - t] if kept else []), t
-            # in the same slab only the dominance prune applies
+            # one slab goes to the kernel whole
             _, bounds = _kernel_input(
                 monkeypatch, [[a + b for a, b in zip(survivors, slab)]])
-            assert len(bounds[0]) == 3, t
+            assert bounds[0] == survivors[0] + [1.0 - t], t
+
+    def test_box_corner_within_tolerance_keeps_its_pentagon(self, monkeypatch):
+        # the survivors' chain is x + y = 2; the box pentagons' corners lie
+        # 2**-30 (under _BOUNDARY_TOL) and 2**-29 (over it) below it along
+        # (1, 1), exactly in floats; the cut pentagon's box corner (1.5,
+        # 1.5) is far above it and its top corner (1.5, 0.5) on it
+        survivors = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
+        near, far = 1.0 - 2.0**-30, 1.0 - 2.0**-29
+        slab = ([near, far, 1.5], [near, far, 1.5], [10.0, 10.0, 2.0])
+        _, bounds = _kernel_input(monkeypatch, [survivors, slab])
+        assert bounds[0] == survivors[0] + [near, 1.5]
+
+    def test_pentagon_with_both_top_corners_below_is_dropped_above_its_box_corner(
+            self, monkeypatch):
+        # the survivors' chain is x + y = 2; the slab pentagon's box corner
+        # (1.5, 1.5) passes the box screen, but its top corners (1.5, 0.3)
+        # and (0.3, 1.5) lie 0.1 below the chain along (1, 1)
+        survivors = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
+        _, bounds = _kernel_input(monkeypatch, [survivors, ([1.5], [1.5], [1.8])])
+        assert bounds[0] == survivors[0]
+
+    def test_survivors_are_cut_to_their_chain(self, monkeypatch):
+        # the first slab's (1, 1) box lies below its chain x + y = 3; it goes
+        # when the next slab arrives, and a size-zero slab cuts nothing
+        first = ([3.0, 0.0, 1.0], [0.0, 3.0, 1.0], [10.0, 10.0, 10.0])
+        _, bounds = _kernel_input(monkeypatch, [first, ([], [], [])])
+        assert bounds[0] == first[0]
+        _, bounds = _kernel_input(monkeypatch, [first, ([0.5], [0.5], [1.0])])
+        assert bounds[0] == [3.0, 0.0]
 
     def test_slab_pentagon_needs_both_corners_below_the_chain_to_go(self, monkeypatch):
         # survivors' chain (2, 0), (1.2, 1.2), (0, 2); the first slab
