@@ -67,18 +67,20 @@ TOL_CLAIM = 5e-3
 #: above the exact root.
 REGIME_TOL = 5e-5
 
-#: Most pentagons one region may evaluate.  g is evaluated and pruned in
+#: Most pentagons one region may evaluate.  g is evaluated and screened in
 #: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
 #: grid, so for them this bounds work, not memory.  g at --points 201
-#: (8,122,144 with its seed sub-grid) and every default fit; g at 201
-#: takes about 0.8 s in process and a 34 MB peak for the whole command on
-#: a 2-vCPU host.  bcdms counts as n_cov**3, about the entries its run
-#: search reads (one PSD test per (p1_priv, p2_priv, c_tot)), which admits
-#: --cov-points up to 203 (bcdms or co2 at 203 points: about 0.2 s and a
-#: 39 MB peak on that host).  A one-parameter family keeps its pentagons
-#: whole, and its support maximum is O(P log P + D), so this bounds it
-#: alone: capacity at P2 = 0 with 8,000,000 points and 4097 directions
-#: takes about 8 s and a 1.9 GB peak on that host.
+#: (8,122,144 with its seed sub-grid), g at 203 (the largest that fits)
+#: and every default fit; g at 201 or 203 takes 0.6-0.85 s in process
+#: (b of 1, 1.3628 and 3.3628), and about 1.1 s and a 39 MB peak for the
+#: whole command on a 2-vCPU host.  bcdms counts as n_cov**3, about the
+#: entries its run search reads (one PSD test per (p1_priv, p2_priv,
+#: c_tot)), which admits --cov-points up to 203 (bcdms or co2 at 203
+#: points: about 0.2 s and a 39 MB peak on that host).  A one-parameter
+#: family keeps its pentagons whole, and its support maximum is
+#: O(P log P + D), so this bounds it alone: capacity at P2 = 0 with
+#: 8,000,000 points and 4097 directions takes about 8 s and a 1.9 GB peak
+#: on that host.
 MAX_PENTAGONS = 2**23
 
 #: Most support directions D.  An envelope has at most D + 2 vertices, and the

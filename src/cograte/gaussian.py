@@ -19,9 +19,9 @@ power between its own message (alpha) and relaying the primary's (1-alpha).
 Every family hands its bounds to ``geometry.hull_of_slabs``: the one-parameter
 families as one slab, ``g`` and ``g1`` as a coarse seed slab (at most
 SEED_GRID points per parameter, ends included) and then slabs of whole
-alpha rows.  The seed's corner chain prunes each row slab before the next
-is evaluated, so their memory is bounded by one slab and the survivors so
-far.
+alpha rows.  The seed's corner chain screens each row slab before the
+next is evaluated, so their memory is bounded by the seed, one slab and
+the pentagons that passed.
 """
 
 from __future__ import annotations
@@ -39,8 +39,12 @@ DEFAULT_GRID = 201
 DEFAULT_G_GRID = 101
 
 #: Most pentagons one slab of the rate-splitting family holds: the family
-#: is evaluated and pruned slab by slab, so this bounds its memory.
-_SLAB_PENTAGONS = 2**16
+#: is evaluated and screened slab by slab, so this bounds its memory.  At
+#: 2**16 glibc hands the slabs' freed temporaries back to the system and
+#: faults them in again: a long-lived process made about 9,200 minor
+#: faults per `figure fig3` round, against about 1,600 at 2**15, and ran
+#: slower; with trimming and mmap thresholds raised both made none.
+_SLAB_PENTAGONS = 2**15
 
 #: Most points per parameter of the seed slab that the rate-splitting
 #: families g and g1 evaluate before their grid (ends included).
@@ -224,11 +228,11 @@ def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
     """ga and gb bounds as (r1, r2, s) slabs of flat arrays: a seed, then whole alpha rows.
 
     The seed slab is the sub-grid of _seed_points on each axis, so its
-    corner chain is already close to the hull and prunes most of every
-    later slab; its pentagons are taken from the same grid arrays, so each
-    is bit for bit a member of the family and the hull is unchanged.  Each
-    later slab holds as many alpha rows as fit in _SLAB_PENTAGONS (at least
-    one).
+    corner chain is already close to the hull and screens out most of
+    every later slab; its pentagons are taken from the same grid arrays, so
+    each is bit for bit a member of the family and the hull is unchanged.
+    Each later slab holds as many alpha rows as fit in _SLAB_PENTAGONS (at
+    least one).
     """
     yield _rate_split_bounds(ch, *(_seed_points(g) for g in (alphas, betas, thetas)))
     rows = max(1, _SLAB_PENTAGONS // (betas.size * (thetas.size + 1)))

@@ -7,9 +7,9 @@ direction is attained at one of its two top corners, so the maximum is
 read off the convex chain of the top corners, one binary search per
 direction, within a few units in the last place of the max over every
 pentagon and exact on the axes.  Every hull is built by hull_of_slabs,
-which takes a union as slabs and prunes each later slab by the corner
-chain of the survivors so far (Akl and Toussaint, IPL 1978), so only they
-are held while the next slab is evaluated.
+which takes a union as slabs and screens each later slab by the corner
+chain of the first (Akl and Toussaint, IPL 1978), so only the first slab
+and what passes are held while the next slab is evaluated.
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
@@ -118,12 +118,12 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _near_chain(cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mask of the points at most _BOUNDARY_TOL below the chain along (1, 1).
 
-    Feet outside the quadrant close the chain, so one interp moves every
-    point along (1, 1) onto it.
+    A point that an end vertex is at or above in both coordinates fails, as
+    does every point on the chain's feet; one beyond either end passes.
     """
-    cx = np.concatenate([cx[:1], cx, [-1.0]])
-    cy = np.concatenate([[-1.0], cy, cy[-1:]])
-    return np.interp(y - x, cy - cx, cx) - x <= _BOUNDARY_TOL
+    d = np.interp(y - x, cy - cx, cx, left=-np.inf, right=-np.inf) - x
+    ends = ((x <= cx[0]) & (y <= cy[0])) | ((x <= cx[-1]) & (y <= cy[-1]))
+    return (d <= _BOUNDARY_TOL) & ~ends
 
 
 def support_max_over_pentagons(
@@ -304,46 +304,44 @@ def hull_of_slabs(
     The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
     at a time.  Bounds must be finite, as in Pentagon; ValueError names the
     count of NaN or infinite bounds over all slabs.  Each slab drops its
-    empty pentagons (any negative bound).  A later slab also drops, by the
-    survivors' corner chain, the pentagons whose two top corners both lie
-    more than _BOUNDARY_TOL below it along (1, 1): such a corner is lower by
-    at least that much than the survivors' support in every unit
-    first-quadrant direction, so it never attains the maximum.  The box
-    corner (min(r1, s), min(r2, s)) lies at or above both top corners, so
-    it screens the slab first; the survivors are cut by the same test and
-    the rest of the slab joins them.  The kept pentagons depend on how the
-    union is cut into slabs, but none that can attain the maximum is
-    dropped, so the support is the same float for every cut and order.
+    empty pentagons (any negative bound).  The first slab with a non-empty
+    one reaches the kernel whole, and its corner chain, built once, screens
+    each later slab by _near_chain: a pentagon goes when neither top corner
+    passes, so a corner the kernel sees is at least as high in every unit
+    first-quadrant direction.  The box corner (min(r1, s), min(r2, s)) lies
+    at or above both top corners, so it screens the slab first, with the
+    empty mask.  The kept pentagons depend on how the union is cut into
+    slabs, but none that can attain the maximum is dropped, so the support
+    is the same float for every cut and order.
     Raises ValueError when no pentagon is non-empty.  The support at each
     direction is the max of the member supports, to within a few units in
     the last place of the largest bound (see support_max_over_pentagons).
     """
     bad = 0
-    r1 = r2 = s = np.empty(0)
+    kept, chain = [], None
     for slab in slabs:
-        slab = [np.asarray(v, dtype=float).ravel() for v in slab]
-        bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in slab)
+        r1, r2, s = (np.asarray(v, dtype=float).ravel() for v in slab)
+        bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
         if bad:
             continue
         # an empty pentagon has no support, but the kernel's closed form
-        # would give it one, so it must not survive the prune
-        live = (slab[0] >= 0.0) & (slab[1] >= 0.0) & (slab[2] >= 0.0)
-        slab = [v[live] for v in slab]
-        if r1.size and slab[0].size:
-            x, y = _top_corners(r1, r2, s)
-            cx, cy = _corner_chain(x, y)
-            near, n = _near_chain(cx, cy, x, y), r1.size
-            r1, r2, s = (v[near[:n] | near[n:]] for v in (r1, r2, s))
-            box = _near_chain(cx, cy, np.minimum(slab[0], slab[2]),
-                              np.minimum(slab[1], slab[2]))
-            slab = [v[box] for v in slab]
-            near, n = _near_chain(cx, cy, *_top_corners(*slab)), slab[0].size
+        # would give it one, so it must not reach the kernel
+        live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
+        if kept and live.any():
+            if chain is None:
+                chain = _corner_chain(*_top_corners(*kept[0]))
+            live &= _near_chain(*chain, np.minimum(r1, s), np.minimum(r2, s))
+        slab = [v[live] for v in (r1, r2, s)]
+        if kept and slab[0].size:
+            near, n = _near_chain(*chain, *_top_corners(*slab)), slab[0].size
             slab = [v[near[:n] | near[n:]] for v in slab]
-        r1, r2, s = (np.concatenate([kept, v]) for kept, v in zip((r1, r2, s), slab))
+        if slab[0].size:
+            kept.append(slab)
     if bad:
         raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
-    if not r1.size:
+    if not kept:
         raise ValueError("all pentagons are empty; nothing to hull")
+    r1, r2, s = (np.concatenate(v) for v in zip(*kept))
     dirs = quadrant_directions(n_directions)
     support = support_max_over_pentagons(r1, r2, s, dirs)
     return ConvexRegion.from_support(dirs, support, provenance)

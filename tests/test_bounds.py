@@ -198,7 +198,7 @@ class TestBcdmsMaximalPentagons:
     def test_one_slab_matches_a_slab_per_c_tot(self, b, n_grid):
         # the slab is c_tot-major and its sum bound grows with c_tot, so it
         # splits into the pentagons of each c_tot; streamed through the
-        # running prune, those give the same floats as the one slab
+        # first slab's screen, those give the same floats as the one slab
         ch = ChannelParams(6, 6, b)
         r1, r2, s = bounds._bcdms_slab(ch, n_grid)
         cuts = np.flatnonzero(np.diff(s)) + 1

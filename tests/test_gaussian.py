@@ -24,7 +24,7 @@ from cograte.gaussian import (
     g_region,
     lambda_opt,
 )
-from cograte import gaussian
+from cograte import gaussian, geometry
 from cograte.geometry import hull_of_slabs, hull_of_union, subset_within
 
 
@@ -358,7 +358,7 @@ class TestRateSplitSlabs:
 
     @pytest.mark.parametrize("b", [1.3628, 3.3628])
     def test_g_across_slabs_matches_one_slab(self, b, monkeypatch):
-        # each slab after the seed is filtered by the survivors' chain
+        # each slab after the seed is screened by the seed's chain
         ch = ChannelParams(6.0, 6.0, b)
         grid = np.linspace(0.0, 1.0, 31)
         one_slab = hull_of_slabs([_every_rate_split_pentagon(ch, grid, grid, grid)])
@@ -384,6 +384,41 @@ class TestRateSplitSlabs:
             without = hull_of_slabs(rows)
             assert np.array_equal(region.support, without.support)
             assert np.array_equal(region.boundary, without.boundary)
+
+    def test_screen_chain_is_built_once(self, monkeypatch):
+        # once from the seed slab for the screen, once in the kernel; a
+        # one-slab hull builds only the kernel's
+        calls = []
+        chain = geometry._corner_chain
+
+        def counted(x, y):
+            calls.append(x.size)
+            return chain(x, y)
+
+        monkeypatch.setattr(geometry, "_corner_chain", counted)
+        g_region(ChannelParams(6.0, 6.0, 3.3628), 101, 101, 101, 721)
+        assert len(calls) == 2
+        g2_region(ChannelParams(6.0, 6.0, 3.3628))
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("build", [lambda ch: g_region(ch, 101, 101, 101, 721),
+                                       lambda ch: g1_region(ch, 201, 201, 721)],
+                             ids=["g", "g1"])
+    @pytest.mark.parametrize("ch", [(6.0, 6.0, 0.0), (0.0, 6.0, 2.0), (1e-20, 1e9, 1e6)],
+                             ids=["b0", "p1zero", "rate-collapse"])
+    def test_flat_chains_send_few_pentagons_to_the_kernel(self, build, ch, monkeypatch):
+        # the seed's chain runs flat along x = 0 or y = max, so the rows'
+        # corners on that foot are under its end vertex
+        sizes = []
+        kernel = geometry.support_max_over_pentagons
+
+        def recorded(r1, r2, s, dirs):
+            sizes.append(r1.size)
+            return kernel(r1, r2, s, dirs)
+
+        monkeypatch.setattr(geometry, "support_max_over_pentagons", recorded)
+        build(ChannelParams(*ch))
+        assert sizes[0] < 10_000
 
     def test_default_g_slabs_bound_memory(self):
         # the whole 101^3 family at once peaked near 200 MB

@@ -127,9 +127,10 @@ class TestPentagonSupport:
 
     def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self, monkeypatch):
         # box pentagons (r1 + r2 <= s): both top corners are (r1, r2), and
-        # the first slab's chain is its one corner (1, 1)
+        # the first slab's chain is its one corner (1, 1), which dominates
+        # a corner below it even within tolerance
         for corner, kept in (((1 - 1e-6, 1 - 1e-6), False),
-                             ((1 - 1e-10, 1 - 1e-10), True),
+                             ((1 - 1e-10, 1 - 1e-10), False),
                              ((1 - 1e-6, 1 + 1e-10), True),
                              ((1 + 1e-10, 1 - 1e-6), True)):
             slabs = [([1.0], [1.0], [10.0]), ([corner[0]], [corner[1]], [10.0])]
@@ -254,7 +255,7 @@ def test_kernel_is_within_8_ulps_of_the_closed_form_and_the_corners(n_directions
 
 @pytest.mark.parametrize("n_directions", [181, 721])
 def test_sliced_hull_matches_the_one_slab_hull_bit_for_bit(n_directions):
-    # each slab is filtered by the chain of the survivors before it, so ties,
+    # each later slab is screened by the first slab's chain, so ties,
     # repeats and corners a few ulps apart must reach the kernel across slabs
     rng = np.random.default_rng(43)
     for name, r1, r2, s in _kernel_families():
@@ -426,7 +427,7 @@ class TestHullOfUnion:
 
 
 def _kernel_input(monkeypatch, slabs, n_directions=181):
-    """hull_of_slabs over slabs, and the bounds its prune passes to the kernel."""
+    """hull_of_slabs over slabs, and the bounds its screen passes to the kernel."""
     seen = []
 
     def recorded(r1, r2, s, dirs):
@@ -463,7 +464,7 @@ class TestSlabPrune:
                                       [0, 1, 2, 3, 3000],
                                       list(range(0, 3001, 100))])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_running_prune_gives_the_one_slab_hull(self, monkeypatch, cuts, reverse):
+    def test_screened_slabs_give_the_one_slab_hull(self, monkeypatch, cuts, reverse):
         rng = np.random.default_rng(5)
         r1, r2 = rng.uniform(0.0, 2.0, (2, 3000))
         s = rng.uniform(0.5, 1.0, 3000) * (r1 + r2)
@@ -476,58 +477,77 @@ class TestSlabPrune:
         assert np.array_equal(pieces.support, whole.support)
         assert np.array_equal(pieces.boundary, whole.boundary)
 
-    def test_slab_corner_below_the_survivors_chain_is_dropped(self, monkeypatch):
-        # box pentagons (r1 + r2 <= s): the survivors' chain is x + y = 2,
-        # and neither survivor beats the corner (1 - t, 1 - t) in both
-        # coordinates
-        survivors = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
+    def test_slab_corner_below_the_first_slabs_chain_is_dropped(self, monkeypatch):
+        # box pentagons (r1 + r2 <= s): the first slab's chain is x + y = 2,
+        # and neither of its end vertices dominates the corner (1 - t, 1 - t)
+        first = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
         for t, kept in ((1e-3, False), (2e-9, False), (5e-10, True), (0.0, True)):
             slab = ([1.0 - t], [1.0 - t], [10.0])
-            _, bounds = _kernel_input(monkeypatch, [survivors, slab])
-            assert bounds[0] == survivors[0] + ([1.0 - t] if kept else []), t
+            _, bounds = _kernel_input(monkeypatch, [first, slab])
+            assert bounds[0] == first[0] + ([1.0 - t] if kept else []), t
             # one slab goes to the kernel whole
             _, bounds = _kernel_input(
-                monkeypatch, [[a + b for a, b in zip(survivors, slab)]])
-            assert bounds[0] == survivors[0] + [1.0 - t], t
+                monkeypatch, [[a + b for a, b in zip(first, slab)]])
+            assert bounds[0] == first[0] + [1.0 - t], t
 
     def test_box_corner_within_tolerance_keeps_its_pentagon(self, monkeypatch):
-        # the survivors' chain is x + y = 2; the box pentagons' corners lie
+        # the first slab's chain is x + y = 2; the box pentagons' corners lie
         # 2**-30 (under _BOUNDARY_TOL) and 2**-29 (over it) below it along
         # (1, 1), exactly in floats; the cut pentagon's box corner (1.5,
         # 1.5) is far above it and its top corner (1.5, 0.5) on it
-        survivors = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
+        first = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
         near, far = 1.0 - 2.0**-30, 1.0 - 2.0**-29
         slab = ([near, far, 1.5], [near, far, 1.5], [10.0, 10.0, 2.0])
-        _, bounds = _kernel_input(monkeypatch, [survivors, slab])
-        assert bounds[0] == survivors[0] + [near, 1.5]
+        _, bounds = _kernel_input(monkeypatch, [first, slab])
+        assert bounds[0] == first[0] + [near, 1.5]
 
     def test_pentagon_with_both_top_corners_below_is_dropped_above_its_box_corner(
             self, monkeypatch):
-        # the survivors' chain is x + y = 2; the slab pentagon's box corner
+        # the first slab's chain is x + y = 2; the slab pentagon's box corner
         # (1.5, 1.5) passes the box screen, but its top corners (1.5, 0.3)
         # and (0.3, 1.5) lie 0.1 below the chain along (1, 1)
-        survivors = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
-        _, bounds = _kernel_input(monkeypatch, [survivors, ([1.5], [1.5], [1.8])])
-        assert bounds[0] == survivors[0]
-
-    def test_survivors_are_cut_to_their_chain(self, monkeypatch):
-        # the first slab's (1, 1) box lies below its chain x + y = 3; it goes
-        # when the next slab arrives, and a size-zero slab cuts nothing
-        first = ([3.0, 0.0, 1.0], [0.0, 3.0, 1.0], [10.0, 10.0, 10.0])
-        _, bounds = _kernel_input(monkeypatch, [first, ([], [], [])])
+        first = ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0])
+        _, bounds = _kernel_input(monkeypatch, [first, ([1.5], [1.5], [1.8])])
         assert bounds[0] == first[0]
-        _, bounds = _kernel_input(monkeypatch, [first, ([0.5], [0.5], [1.0])])
-        assert bounds[0] == [3.0, 0.0]
+
+    def test_first_slab_reaches_the_kernel_whole(self, monkeypatch):
+        # the first slab's (1, 1) box lies below its chain x + y = 3 and its
+        # (3, 0) box is there twice; whatever follows, none of it is dropped
+        first = ([3.0, 0.0, 1.0, 3.0], [0.0, 3.0, 1.0, 0.0], [10.0] * 4)
+        for rest, extra in (([], []),
+                            ([([], [], [])], []),
+                            ([([0.5], [0.5], [1.0])], []),
+                            ([([-1.0], [0.5], [1.0]), ([4.0, 1.0], [0.0, 1.0], [10.0, 10.0])],
+                             [4.0])):
+            _, bounds = _kernel_input(monkeypatch, [first, *rest])
+            assert bounds[0] == first[0] + extra, rest
 
     def test_slab_pentagon_needs_both_corners_below_the_chain_to_go(self, monkeypatch):
-        # survivors' chain (2, 0), (1.2, 1.2), (0, 2); the first slab
+        # first slab's chain (2, 0), (1.2, 1.2), (0, 2); the first slab
         # pentagon has corners (1.8, 0.55) above it and (1.15, 1.2) 0.02
-        # below, the second a box corner at (1.15, 1.2) that no survivor
-        # beats in both coordinates
-        survivors = ([2.0, 0.0, 1.2], [0.0, 2.0, 1.2], [10.0, 10.0, 10.0])
+        # below, the second a box corner at (1.15, 1.2) that neither end
+        # vertex dominates
+        first = ([2.0, 0.0, 1.2], [0.0, 2.0, 1.2], [10.0, 10.0, 10.0])
         slab = ([1.8, 1.15], [1.2, 1.2], [2.35, 10.0])
-        _, bounds = _kernel_input(monkeypatch, [survivors, slab])
+        _, bounds = _kernel_input(monkeypatch, [first, slab])
         assert bounds[0] == [2.0, 0.0, 1.2, 1.8]
+
+    def test_screen_drops_what_an_end_vertex_dominates(self):
+        # chain (2, 0.5), (1.2, 1.2), (0.5, 2); its edge from (2, 0.5) to
+        # (1.2, 1.2) passes through (1.6, 0.85)
+        cx, cy = np.array([2.0, 1.2, 0.5]), np.array([0.5, 1.2, 2.0])
+        cases = {
+            (2.0, 0.3): False, (0.3, 2.0): False,          # on a foot
+            (2.0, 0.5): False, (0.5, 2.0): False,          # an end vertex
+            (2.0 - 1e-10, 0.5): False,                     # in range, dominated
+            (2.0 + 1e-12, 0.3): True, (0.3, 2.0 + 1e-12): True,  # beyond an end
+            (3.0, 0.0): True, (0.0, 3.0): True,
+            (1.6 - 5e-10, 0.85 - 5e-10): True,             # within tolerance
+            (1.6 - 1e-8, 0.85 - 1e-8): False,              # beyond it
+            (1.2, 1.2): True, (1.7, 1.7): True,            # on and above the chain
+        }
+        x, y = np.array(list(cases)).T
+        assert geometry._near_chain(cx, cy, x, y).tolist() == list(cases.values())
 
     def test_size_zero_slabs_contribute_nothing(self, monkeypatch):
         slab = ([1.0, 0.5], [0.5, 1.0], [1.2, 1.2])
