@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import DEFAULT_GRID
+from .gaussian import DEFAULT_GRID, _unit_grid
 from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_slabs, intersect
 from .model import ChannelParams, Pentagon
 
@@ -64,10 +64,8 @@ def co1_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the co1 pentagons over a uniform rho grid."""
-    if n_rho < 2:
-        raise ValueError(f"rho grid needs at least 2 points, got {n_rho}")
     return hull_of_slabs(
-        [_co1_arrays(ch, np.linspace(0.0, 1.0, n_rho))], n_directions,
+        [_co1_arrays(ch, _unit_grid(n_rho, "rho"))], n_directions,
         provenance=f"co1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -168,10 +166,16 @@ def co2_region(
     n_rho: int = DEFAULT_GRID,
     n_grid: int = DEFAULT_COV_GRID,
     n_directions: int = DEFAULT_DIRECTIONS,
+    co1: ConvexRegion | None = None,
+    bcdms: ConvexRegion | None = None,
 ) -> ConvexRegion:
-    """Intersection of co1_region and bcdms_region."""
+    """Intersection of co1_region and bcdms_region.
+
+    A caller that already built either parent at these grids passes it as
+    co1 or bcdms, and it is not built again.
+    """
     return intersect(
-        co1_region(ch, n_rho, n_directions),
-        bcdms_region(ch, n_grid, n_directions),
+        co1 if co1 is not None else co1_region(ch, n_rho, n_directions),
+        bcdms if bcdms is not None else bcdms_region(ch, n_grid, n_directions),
         provenance=f"co2(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

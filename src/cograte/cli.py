@@ -12,9 +12,14 @@ Defaults: 201 grid points per sweep parameter (101 for the three-parameter
 family g, 41 per covariance dimension), 721 hull directions.  Tolerances:
 1e-3 bits for capacity-meets-bound claims, 5e-3 bits for coincide or
 strict-inclusion claims; both are grid-limited, not exact arithmetic.
-Regions are built one after another.  An invocation whose largest region
-would evaluate more than MAX_PENTAGONS pentagons is refused as a usage
-error before anything is allocated.
+Regions are built one after another, each once per channel: co2
+intersects the command's own co1 and bcdms when they are selected too.
+An invocation whose largest region would evaluate more than MAX_PENTAGONS
+pentagons is refused as a usage error before anything is allocated.
+File names print each number by {:g} when that reads back as the same
+float, else by repr.  A JSON report's vertex blocks are formatted by one
+"%.9g" pair template, with json's encoder as the fallback for values
+that "%.9g" and repr print apart.
 """
 
 from __future__ import annotations
@@ -137,15 +142,13 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
         for gain in (self.b, *self.b_list):
             _check_received_power(self.p1, self.p2, gain)
-        # figure files are named by the {b:g} tag, so two gains sharing it
-        # would overwrite each other's curves
-        tags = [f"b{g:g}" for g in self.b_list]
-        for i, tag in enumerate(tags):
-            if tag in tags[:i]:
+        # figure files are named by their gain, so a gain given twice
+        # would overwrite its own curves
+        for i, gain in enumerate(self.b_list):
+            if gain in self.b_list[:i]:
                 raise ValueError(
-                    f"gains {self.b_list[tags.index(tag)]!r} and {self.b_list[i]!r} "
-                    f"share the file tag {tag!r}; give gains that round apart at "
-                    f"6 significant digits")
+                    f"gain {gain!r} is given twice and would share the file tag "
+                    f"'b{_num_tag(gain)}'; give distinct gains")
         if self.n_points is not None and self.n_points < 2:
             raise ValueError("grids need at least 2 points")
         if self.n_cov < 2:
@@ -215,8 +218,13 @@ def _pentagon_count(sel: str, cfg: RunConfig) -> int:
     return k
 
 
-def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:
-    """Build one named region at the configured grids."""
+def build_region(sel: str, ch: ChannelParams, cfg: RunConfig,
+                 built: dict | None = None) -> ConvexRegion:
+    """Build one named region at the configured grids.
+
+    co2 intersects the co1 and bcdms of built, the regions already built
+    for the command, and builds only the parents it does not find there.
+    """
     k = _points(sel, cfg)
     nd = cfg.n_directions
     if sel == "g":
@@ -234,19 +242,30 @@ def build_region(sel: str, ch: ChannelParams, cfg: RunConfig) -> ConvexRegion:
     if sel == "bcdms":
         return bcdms_region(ch, cfg.n_cov, nd)
     if sel == "co2":
-        return co2_region(ch, k, cfg.n_cov, nd)
+        built = built or {}
+        return co2_region(ch, k, cfg.n_cov, nd, built.get("co1"), built.get("bcdms"))
     raise ValueError(f"unknown region selection {sel!r}")
+
+
+def build_regions(ch: ChannelParams, cfg: RunConfig) -> dict:
+    """The selected regions by name, in selection order, each built once:
+    co2 comes last, so it intersects the command's own co1 and bcdms."""
+    built = {}
+    for sel in sorted(cfg.selections, key="co2".__eq__):
+        built[sel] = build_region(sel, ch, cfg, built)
+    return {sel: built[sel] for sel in cfg.selections}
 
 
 def _check_emitted_boundary(region: ConvexRegion) -> None:
     # Every emitted vertex must lie inside its own sampled region.  The
-    # commands check each region once, before they write any file.
-    slack = region.boundary @ region.directions.T
-    slack -= region.support
-    if slack.size and float(slack.max()) > _BOUNDARY_TOL:
-        raise FloatingPointError(
-            f"boundary point escapes its region by {float(slack.max()):g} bits"
-        )
+    # commands check each region once, before they write any file.  x - h
+    # rounds monotonically in x, so each direction's largest slack is its
+    # largest d.x less its support.
+    if not region.boundary.size:
+        return
+    slack = float(np.max((region.boundary @ region.directions.T).max(axis=0) - region.support))
+    if slack > _BOUNDARY_TOL:
+        raise FloatingPointError(f"boundary point escapes its region by {slack:g} bits")
 
 
 def write_csv(path: str, region: ConvexRegion) -> None:
@@ -264,13 +283,50 @@ _PAIRS_NEXT = "\n        ],\n        [\n          "
 _PAIRS_CLOSE = "\n        ]\n      ]"
 
 
+#: One vertex pair of a report block as "%.9g" writes it, and where in a
+#: block template a token's "9g" sits: _AT_FIRST past the start for token
+#: 0, then _PAIR_STEP further per pair and _AT_SECOND further for a y.
+_PAIR = "%.9g,\n          %.9g"
+_AT_FIRST = len(_PAIRS_OPEN) + 2
+_PAIR_STEP = len(_PAIR + _PAIRS_NEXT)
+_AT_SECOND = len("%.9g,\n          ")
+
+
 def _json_vertices(boundary: np.ndarray) -> str:
-    """boundary_bits as json.dump(indent=2) writes it in the report, from
-    json's C encoder: coordinates rounded to 9 significant digits."""
-    flat = boundary.ravel().tolist()
-    if not flat:
+    """boundary_bits as json.dump(indent=2) writes it in the report:
+    coordinates rounded to 9 significant digits.
+
+    json writes each rounded float by repr, which for a value in [1e-4,
+    1e8) prints the digits "%.9g" prints, positionally, adding ".0" to an
+    integral one.  So a block of such values and zeros is formatted in one
+    pass, by "%.9g" and, for each zero, "%.1f".  A block with any other
+    value (one outside that range, a negative one, -0.0 included, or a
+    non-finite one) or with a nonzero integral token goes through json's
+    encoder instead.
+    """
+    flat = boundary.ravel()
+    if not flat.size:
         return "[]"
-    rounded = iter(map(float, ("%.9g " * len(flat) % tuple(flat)).split()))
+    nonzero = flat[flat != 0.0]
+    if np.signbit(flat).any() or nonzero.size and not (
+            nonzero.min() >= 1e-4 and nonzero.max() < 1e8):
+        return _encoded_vertices(flat)
+    template = bytearray(
+        _PAIRS_OPEN + _PAIRS_NEXT.join([_PAIR] * (flat.size // 2)) + _PAIRS_CLOSE, "ascii")
+    zeros = np.flatnonzero(flat == 0.0)
+    if zeros.size:
+        at = _AT_FIRST + zeros // 2 * _PAIR_STEP + zeros % 2 * _AT_SECOND
+        spec = np.frombuffer(template, dtype=np.uint8)
+        spec[at], spec[at + 1] = ord("1"), ord("f")
+    text = template.decode() % tuple(flat.tolist())
+    # every token holds one "." unless it is integral
+    return text if text.count(".") == flat.size else _encoded_vertices(flat)
+
+
+def _encoded_vertices(flat: np.ndarray) -> str:
+    """_json_vertices of any block, by json's C encoder."""
+    values = flat.tolist()
+    rounded = iter(map(float, ("%.9g " * len(values) % tuple(values)).split()))
     compact = json.dumps(list(zip(rounded, rounded)))
     # no float's repr holds "], [" or ", ", so the replaces only move the
     # compact separators onto indented lines
@@ -366,8 +422,15 @@ def write_svg(path: str, curves: list) -> None:
         fh.write("\n".join(out) + "\n")
 
 
+def _num_tag(x: float) -> str:
+    """x for a file name: by {:g} when that reads back as x, else by repr,
+    so distinct numbers never share a name."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _channel_tag(p1: float, p2: float, b: float) -> str:
-    return f"p1{p1:g}_p2{p2:g}_b{b:g}"
+    return f"p1{_num_tag(p1)}_p2{_num_tag(p2)}_b{_num_tag(b)}"
 
 
 def _grids_dict(cfg: RunConfig) -> dict:
@@ -382,7 +445,7 @@ def cmd_region(cfg: RunConfig) -> int:
     """Write one boundary file per selected region (or one overlay/report)."""
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     os.makedirs(cfg.output, exist_ok=True)
-    regions = {sel: build_region(sel, ch, cfg) for sel in cfg.selections}
+    regions = build_regions(ch, cfg)
     for region in regions.values():
         _check_emitted_boundary(region)
     tag = _channel_tag(cfg.p1, cfg.p2, cfg.b)
@@ -428,7 +491,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     """Pairwise subset verdicts and directed gaps over the selections."""
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     os.makedirs(cfg.output, exist_ok=True)
-    regions = {sel: build_region(sel, ch, cfg) for sel in cfg.selections}
+    regions = build_regions(ch, cfg)
     comparisons = []
     for inner in cfg.selections:
         for outer in cfg.selections:
@@ -463,7 +526,7 @@ def cmd_capacity_check(cfg: RunConfig) -> int:
     ch = ChannelParams(cfg.p1, cfg.p2, cfg.b)
     threshold = b_star(ch)
     in_regime = 1.0 - 1e-12 <= cfg.b <= threshold + REGIME_TOL
-    inner, outer = (build_region(sel, ch, cfg) for sel in cfg.selections)
+    inner, outer = build_regions(ch, cfg).values()
     gap = directed_gap(outer, inner)
     print(f"p1 = {cfg.p1:g}, p2 = {cfg.p2:g}, b = {cfg.b:g}")
     print(f"b_star = {threshold:.9g}")
@@ -479,9 +542,9 @@ def cmd_figure(cfg: RunConfig) -> int:
     gains = cfg.b_list or preset_bs
     os.makedirs(cfg.output, exist_ok=True)
     regions = {
-        (sel, gain): build_region(sel, ChannelParams(p1, p2, gain), cfg)
+        (sel, gain): region
         for gain in gains
-        for sel in cfg.selections
+        for sel, region in build_regions(ChannelParams(p1, p2, gain), cfg).items()
     }
     for region in regions.values():
         _check_emitted_boundary(region)
@@ -490,7 +553,7 @@ def cmd_figure(cfg: RunConfig) -> int:
     for gain in gains:
         for sel in cfg.selections:
             region = regions[(sel, gain)]
-            path = os.path.join(cfg.output, f"{cfg.figure}_{sel}_b{gain:g}.csv")
+            path = os.path.join(cfg.output, f"{cfg.figure}_{sel}_b{_num_tag(gain)}.csv")
             write_csv(path, region)
             written.append(path)
             curves.append((region.provenance, region))

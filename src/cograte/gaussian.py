@@ -26,6 +26,8 @@ the pentagons that passed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_slabs
@@ -198,9 +200,17 @@ def b_condition(ch: ChannelParams, alpha: float) -> float:
 
 
 def _unit_grid(n: int, name: str) -> np.ndarray:
+    """n points uniform over [0, 1], shared by every caller, so read-only."""
     if n < 2:
         raise ValueError(f"{name} grid needs at least 2 points, got {n}")
-    return np.linspace(0.0, 1.0, n)
+    return _unit_points(n)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_points(n: int) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, n)
+    grid.flags.writeable = False
+    return grid
 
 
 def _rate_split_bounds(ch: ChannelParams, alphas, betas, thetas):

@@ -15,13 +15,16 @@ exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
 intersections of consecutive lines; an intersection of regions has loose
 halfplanes and is traced by a sorted-angle halfplane intersection.
+What the kernel and the envelope read of the directions alone is one
+read-only table per direction count, built and validated once with
+quadrant_directions(n); a region on that array skips the direction checks.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,21 +37,84 @@ DEFAULT_DIRECTIONS = 721
 _BOUNDARY_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=16)
-def quadrant_directions(n: int) -> np.ndarray:
-    """n unit vectors with angles uniform over [0, 90] degrees, as an (n, 2) array.
+class _DirectionTable(NamedTuple):
+    """What the kernel and the envelope read of a direction set alone.
 
-    The first row is exactly (1, 0) and the last exactly (0, 1).  The array
-    is built once per n and shared by every caller, so it is read-only.
+    dx, dy and angles = arctan2(dy, dx) are what support_max_over_pentagons
+    searches, r2_axis the indices with dx = 0; a0, b0, a, b and det are the
+    coefficients of consecutive lines of _quadrant_lines and their
+    determinants, from which _tight_envelope takes each vertex as
+    ((h0*b - h*b0)/det, (a0*h - a*h0)/det).
     """
+
+    dirs: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    angles: np.ndarray
+    r2_axis: np.ndarray
+    a0: np.ndarray
+    b0: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    det: np.ndarray
+
+
+def _direction_table(dirs: np.ndarray) -> _DirectionTable:
+    dx, dy = dirs[:, 0].copy(), dirs[:, 1].copy()
+    # the lines of _quadrant_lines, y >= 0, the samples, x >= 0, each with
+    # the next one
+    a0, b0 = np.append(0.0, dx), np.append(-1.0, dy)
+    a, b = np.append(dx, -1.0), np.append(dy, 0.0)
+    # the angle step is in (0, 180) degrees, so det > 0
+    return _DirectionTable(dirs, dx, dy, np.arctan2(dy, dx), np.flatnonzero(dx == 0.0),
+                           a0, b0, a, b, a0 * b - b0 * a)
+
+
+@functools.lru_cache(maxsize=16)
+def _quadrant_table(n: int) -> _DirectionTable:
+    """The direction table of quadrant_directions(n), built and validated once per n."""
     if n < 3:
         raise ValueError(f"need at least 3 directions, got {n}")
     angles = np.linspace(0.0, np.pi / 2.0, n)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     dirs[0] = (1.0, 0.0)
     dirs[-1] = (0.0, 1.0)
-    dirs.flags.writeable = False
-    return dirs
+    _check_directions(dirs)
+    table = _direction_table(dirs)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def quadrant_directions(n: int) -> np.ndarray:
+    """n unit vectors with angles uniform over [0, 90] degrees, as an (n, 2) array.
+
+    The first row is exactly (1, 0) and the last exactly (0, 1).  The array
+    is built once per n, with the table of everything that depends on it
+    alone, and shared by every caller, so it is read-only.
+    """
+    return _quadrant_table(n).dirs
+
+
+def _cached_table(dirs: np.ndarray) -> _DirectionTable | None:
+    """The cached table when dirs is quadrant_directions' own array, else None."""
+    if dirs.flags.writeable or len(dirs) < 3:
+        return None
+    table = _quadrant_table(len(dirs))
+    return table if table.dirs is dirs else None
+
+
+def _directions_of(dirs: np.ndarray) -> _DirectionTable:
+    """The direction table of dirs: the cached one, or one built for this call."""
+    return _cached_table(dirs) or _direction_table(dirs)
+
+
+def _check_directions(d: np.ndarray) -> None:
+    angles = np.arctan2(d[:, 1], d[:, 0])
+    if np.any(np.diff(angles) <= 0.0):
+        raise ValueError("directions must be sorted by strictly increasing angle")
+    if tuple(d[0]) != (1.0, 0.0) or tuple(d[-1]) != (0.0, 1.0):
+        raise ValueError("directions must start at (1,0) and end at (0,1)")
 
 
 def pentagon_support(p: Pentagon, d: tuple[float, float] | np.ndarray) -> float:
@@ -87,10 +153,11 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Andrew's monotone chain (1979) over the staircase of the points: by
     decreasing x, the points higher than every point before them.  The
     vertices run by strictly decreasing x and strictly increasing y, and
-    collinear points are dropped.  The loop pops nothing when every
+    collinear points are dropped.  The loop pops nothing while every
     staircase point turns left past its two neighbours, so one vectorised
     turn test (the loop's own, in the same floats) returns a convex
-    staircase as it stands; any other runs the loop.
+    staircase as it stands, and any other runs the loop from its first
+    point that does not turn left.
     """
     # by decreasing x, ties by decreasing y: two sorts, the second stable,
     # are faster than np.lexsort
@@ -103,16 +170,19 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             - (ys[1:-1] - ys[:-2]) * (xs[2:] - xs[:-2])) > 0.0
     if left.all():
         return xs, ys
-    chain = []
-    for p in zip(xs.tolist(), ys.tolist()):
-        while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0.0:
+    # the loop pushes every point before the first that fails, popping none
+    i = int(np.argmin(left)) + 2
+    cx, cy = xs[:i].tolist(), ys[:i].tolist()
+    for px, py in zip(xs[i:].tolist(), ys[i:].tolist()):
+        while len(cx) >= 2:
+            ox, oy = cx[-2], cy[-2]
+            if (cx[-1] - ox) * (py - oy) - (cy[-1] - oy) * (px - ox) > 0.0:
                 break
-            chain.pop()
-        chain.append(p)
-    cx, cy = np.array(chain).T
-    return cx, cy
+            cx.pop()
+            cy.pop()
+        cx.append(px)
+        cy.append(py)
+    return np.array(cx), np.array(cy)
 
 
 def _near_chain(cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,6 +194,10 @@ def _near_chain(cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     d = np.interp(y - x, cy - cx, cx, left=-np.inf, right=-np.inf) - x
     ends = ((x <= cx[0]) & (y <= cy[0])) | ((x <= cx[-1]) & (y <= cy[-1]))
     return (d <= _BOUNDARY_TOL) & ~ends
+
+
+#: Offsets of the vertices the kernel compares with its searched one.
+_NEIGHBOURS = np.arange(-1, 2)[:, None]
 
 
 def support_max_over_pentagons(
@@ -152,27 +226,28 @@ def support_max_over_pentagons(
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
     cx, cy = _corner_chain(*_top_corners(r1, r2, s))
-    dx, dy = dirs[:, 0], dirs[:, 1]
+    t = _directions_of(dirs)
     normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
-    k = np.searchsorted(normals, np.arctan2(dy, dx))
+    k = np.searchsorted(normals, t.angles)
     # the flattest normals can all round to 90 degrees; the r2 axis takes
     # the last vertex, as the r1 axis takes the first
-    k[dx == 0.0] = cx.size - 1
-    near = np.clip(k + np.arange(-1, 2)[:, None], 0, cx.size - 1)
-    return np.max(dx * cx[near] + dy * cy[near], axis=0)
+    k[t.r2_axis] = cx.size - 1
+    near = np.clip(k + _NEIGHBOURS, 0, cx.size - 1)
+    return np.max(t.dx * cx[near] + t.dy * cy[near], axis=0)
 
 
-def _dedupe(pts: np.ndarray) -> np.ndarray:
-    """Drop each vertex within _BOUNDARY_TOL of the one before it, per coordinate.
+def _dedupe(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The vertices (x, y), each dropped within _BOUNDARY_TOL of the one before
+    it per coordinate, as an (m, 2) polyline.
 
     A run of such vertices keeps its first, which for the first run is the
     vertex on the r1 axis; the last run keeps its last, the vertex on the r2
     axis, so the polyline ends exactly there and not at a roundoff twin.
     """
-    far = np.any(np.abs(np.diff(pts, axis=0)) > _BOUNDARY_TOL, axis=1)
+    far = (np.abs(np.diff(x)) > _BOUNDARY_TOL) | (np.abs(np.diff(y)) > _BOUNDARY_TOL)
     keep = np.flatnonzero(np.append(True, far))
-    keep[-1] = len(pts) - 1
-    return pts[keep]
+    keep[-1] = x.size - 1
+    return np.column_stack([x[keep], y[keep]])
 
 
 def _quadrant_lines(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -191,20 +266,19 @@ def _tight_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     along the line, the line is loose and ValueError is raised.  Returns
     an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
     """
-    lines = _quadrant_lines(dirs, support)
-    (a0, b0, h0), (a, b, h) = lines[:-1].T, lines[1:].T
-    # the angle step is in (0, 180) degrees, so det > 0
-    det = a0 * b - b0 * a
-    verts = np.column_stack([(h0 * b - h * b0) / det, (a0 * h - a * h0) / det])
-    step = np.diff(verts, axis=0)
-    ahead = a[:-1] * step[:, 1] - b[:-1] * step[:, 0]
+    t = _directions_of(np.asarray(dirs, dtype=float))
+    hs = np.concatenate(([0.0], support, [0.0]))
+    h0, h = hs[:-1], hs[1:]
+    x = (h0 * t.b - h * t.b0) / t.det
+    y = (t.a0 * h - t.a * h0) / t.det
+    ahead = t.a[:-1] * np.diff(y) - t.b[:-1] * np.diff(x)
     loose = np.flatnonzero(ahead < -_BOUNDARY_TOL)
     if loose.size:
         raise ValueError(
             f"support is loose at {loose.size} sampled directions (first at index "
             f"{loose[0]}); a hull's support touches every sampled halfplane"
         )
-    return _dedupe(np.clip(verts, 0.0, None))
+    return _dedupe(np.maximum(x, 0.0), np.maximum(y, 0.0))
 
 
 def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -229,7 +303,8 @@ def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
         det = a0 * b - b0 * a
         verts.append(((h0 * b - h * b0) / det, (a0 * h - a * h0) / det))
         stack.append((a, b, h))
-    return _dedupe(np.clip(np.array(verts), 0.0, None))
+    x, y = np.maximum(verts, 0.0).T
+    return _dedupe(x, y)
 
 
 @dataclass(frozen=True)
@@ -252,11 +327,9 @@ class ConvexRegion:
         h = np.asarray(self.support, dtype=float)
         if d.ndim != 2 or d.shape[1] != 2 or d.shape[0] != h.shape[0]:
             raise ValueError("directions and support shapes do not match")
-        angles = np.arctan2(d[:, 1], d[:, 0])
-        if np.any(np.diff(angles) <= 0.0):
-            raise ValueError("directions must be sorted by strictly increasing angle")
-        if tuple(d[0]) != (1.0, 0.0) or tuple(d[-1]) != (0.0, 1.0):
-            raise ValueError("directions must start at (1,0) and end at (0,1)")
+        # quadrant_directions' own arrays were checked once, when built
+        if _cached_table(d) is None:
+            _check_directions(d)
         if not np.all(np.isfinite(h)) or np.any(h < 0.0):
             raise ValueError("support values must be finite and >= 0")
         object.__setattr__(self, "directions", d)
@@ -331,7 +404,8 @@ def hull_of_slabs(
             if chain is None:
                 chain = _corner_chain(*_top_corners(*kept[0]))
             live &= _near_chain(*chain, np.minimum(r1, s), np.minimum(r2, s))
-        slab = [v[live] for v in (r1, r2, s)]
+        # a slab with every pentagon live goes on as it is, uncopied
+        slab = [r1, r2, s] if live.all() else [v[live] for v in (r1, r2, s)]
         if kept and slab[0].size:
             near, n = _near_chain(*chain, *_top_corners(*slab)), slab[0].size
             slab = [v[near[:n] | near[n:]] for v in slab]
@@ -341,7 +415,7 @@ def hull_of_slabs(
         raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
     if not kept:
         raise ValueError("all pentagons are empty; nothing to hull")
-    r1, r2, s = (np.concatenate(v) for v in zip(*kept))
+    r1, r2, s = kept[0] if len(kept) == 1 else (np.concatenate(v) for v in zip(*kept))
     dirs = quadrant_directions(n_directions)
     support = support_max_over_pentagons(r1, r2, s, dirs)
     return ConvexRegion.from_support(dirs, support, provenance)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cograte import cli, gaussian
+from cograte import bounds, cli, gaussian
 from cograte.cli import RunConfig, main
 from cograte.model import ChannelParams
 from cograte.gaussian import g_region
@@ -55,8 +55,8 @@ def record_regions(monkeypatch):
     built = {}
     build = cli.build_region
 
-    def recorded(sel, ch, cfg):
-        built[sel] = build(sel, ch, cfg)
+    def recorded(sel, ch, cfg, parents=None):
+        built[sel] = build(sel, ch, cfg, parents)
         return built[sel]
 
     monkeypatch.setattr(cli, "build_region", recorded)
@@ -379,6 +379,40 @@ class TestRegionCommand:
             for sel in sels.split(","):
                 assert f"{sel}(P1=6,P2=6,b=1)" in text
 
+    def test_gains_apart_past_six_digits_write_apart(self, tmp_path, capsys):
+        for b in ("1.00000001", "1.00000002", "1.5"):
+            assert main(["region", "--b", b, "--select", "co1",
+                         "--output", str(tmp_path), *SMALL]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "co1_p16_p26_b1.00000001.csv", "co1_p16_p26_b1.00000002.csv",
+            "co1_p16_p26_b1.5.csv"]
+
+    @pytest.mark.parametrize("sels", ["co1,co2", "co2,co1,bcdms", "bcdms,co2"])
+    def test_co2_reuses_the_selected_parents(self, sels, tmp_path, monkeypatch, capsys):
+        built = {"co1": [], "bcdms": []}
+        for name in built:
+            make = getattr(bounds, f"{name}_region")
+
+            def counted(*args, _name=name, _make=make):
+                built[_name].append(args)
+                return _make(*args)
+
+            monkeypatch.setattr(cli, f"{name}_region", counted)
+            monkeypatch.setattr(bounds, f"{name}_region", counted)
+        argv = ["region", "--p1", "6", "--p2", "0", "--b", "2", "--select", sels,
+                "--format", "json", "--output", str(tmp_path), *SMALL]
+        assert main(argv) == 0
+        (path,) = capsys.readouterr().out.split()
+        assert {name: len(calls) for name, calls in built.items()} == {"co1": 1, "bcdms": 1}
+        monkeypatch.undo()
+        co2 = bounds.co2_region(ChannelParams(6.0, 0.0, 2.0), 31, 9, 181)
+        doc = json.loads(Path(path).read_text())
+        (got,) = [r for r in doc["regions"] if r["name"] == "co2"]
+        assert got["provenance"] == co2.provenance
+        assert got["boundary_bits"] == [[float(f"{x:.9g}"), float(f"{y:.9g}")]
+                                        for x, y in co2.boundary]
+
     def test_svg_output(self, tmp_path, capsys):
         code = main(["region", "--p1", "6", "--p2", "6", "--b", "1.3628",
                      "--select", "g3p,co1", "--format", "svg",
@@ -463,7 +497,7 @@ class TestReportWriter:
             "co1": ConvexRegion(dirs, np.zeros(3), np.zeros((1, 2)), "point"),
             "g3p": ConvexRegion(dirs, np.zeros(3), np.zeros((0, 2)), "empty"),
         }
-        monkeypatch.setattr(cli, "build_region", lambda sel, ch, cfg: regions[sel])
+        monkeypatch.setattr(cli, "build_region", lambda sel, ch, cfg, built: regions[sel])
         argv = ["region", "--select", "g2,co1,g3p", "--format", fmt,
                 "--output", str(tmp_path)]
         assert main(argv) == 0
@@ -490,8 +524,8 @@ class TestReportWriter:
             self, fmt, tmp_path, monkeypatch, capsys):
         build = cli.build_region
 
-        def pushed(sel, ch, cfg):
-            region = build(sel, ch, cfg)
+        def pushed(sel, ch, cfg, built):
+            region = build(sel, ch, cfg, built)
             if sel != "co1":
                 return region
             # a tight vertex moved by (1e-6, 1e-6) leaves every halfplane
@@ -507,6 +541,72 @@ class TestReportWriter:
         assert code == 3
         assert "escapes its region" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @staticmethod
+    def adversarial_blocks():
+        """Vertex blocks at every edge of the one-format writer."""
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [1e-4, 1e8, 1e9, 1e16, 1e-5, 1e300, 5e-324, 2.2250738585072014e-308,
+                 99999999.99, 99999999.9999999, 999999999.7, 9.9999999996e-5,
+                 123456789.0, 1.0, 2.0, 3.5, 7e7, 12345678.9]
+        values = edges + [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+        blocks = [np.zeros((0, 2)), np.zeros((1, 2)), np.array([[1.5, 2.25]]),
+                  np.array([[0.0, 1.25]]), np.array([[1.25, 0.0]]),
+                  np.array([[2.5, 0.0], [1.5, 1.5], [0.0, 3.75]]),
+                  np.array([[-0.0, 1.25]]), np.array([[1.25, -0.0]]),
+                  np.array([[1.0, 0.5], [0.5, 2.0]]), np.array([[tiny, 1.5]])]
+        blocks += [np.array([[v, 0.5], [0.25, v]]) for v in values]
+        rng = np.random.default_rng(7)
+        for i in range(300):
+            n = int(rng.integers(1, 40))
+            block = rng.uniform(1.0, 10.0, (n, 2)) * 10.0 ** rng.integers(-4, 8, (n, 2))
+            block[rng.random((n, 2)) < 0.1] = 0.0
+            if i % 3 == 0:
+                block.flat[rng.integers(block.size)] = rng.choice(values)
+            if i % 5 == 0:
+                block.flat[rng.integers(block.size)] = rng.integers(1, 10**8)
+            blocks.append(block)
+        return blocks
+
+    def test_vertex_writer_equals_the_json_encoder(self):
+        for block in self.adversarial_blocks():
+            got = cli._json_vertices(block)
+            assert got == (cli._encoded_vertices(block.ravel()) if block.size else "[]")
+            if block.size:
+                ref = json.dumps([[float(f"{x:.9g}"), float(f"{y:.9g}")]
+                                  for x, y in block.tolist()], indent=2)
+                # the block sits three levels deep in the report
+                assert got == ref.replace("\n", "\n      ")
+
+    def test_vertex_writer_formats_hull_blocks_in_one_pass(self, monkeypatch):
+        # the encoder is the fallback for exponent forms, -0.0 and integral
+        # tokens; a hull's boundary at the benchmark channels needs none
+        def refused(flat):
+            raise AssertionError(f"fell back on {flat.tolist()[:4]}")
+
+        blocks = [build(ChannelParams(6.0, 6.0, b)).boundary
+                  for b in (1.0, 2.0303, 3.3628)
+                  for build in (gaussian.g2_region, gaussian.g3p_region,
+                                gaussian.capacity_region, bounds.co1_region)]
+        texts = [cli._json_vertices(block) for block in blocks]
+        monkeypatch.setattr(cli, "_encoded_vertices", refused)
+        assert [cli._json_vertices(block) for block in blocks] == texts
+        with pytest.raises(AssertionError, match="fell back"):
+            cli._json_vertices(np.array([[1e-5, 0.0]]))
+
+    @pytest.mark.parametrize("shift", [1e-6, 1e-3, 0.25])
+    def test_escape_message_is_the_largest_slack_over_every_vertex(self, shift):
+        region = bounds.co1_region(ChannelParams(6.0, 6.0, 2.0), 31, 181)
+        boundary = region.boundary.copy()
+        boundary[len(boundary) // 3] += shift
+        boundary[-2] += (shift / 2, shift)
+        pushed = dataclasses.replace(region, boundary=boundary)
+        slack = boundary @ region.directions.T - region.support
+        with pytest.raises(FloatingPointError) as err:
+            cli._check_emitted_boundary(pushed)
+        assert str(err.value) == (
+            f"boundary point escapes its region by {float(slack.max()):g} bits")
+        cli._check_emitted_boundary(region)
 
 
 class TestCompareCommand:
@@ -600,9 +700,9 @@ class TestFigureCommand:
         ]
 
     @pytest.mark.parametrize("gains, tag", [
-        (["1.3627702", "1.3627703"], "b1.36277"),
         (["2", "2"], "b2"),
-    ], ids=["same-tag", "exact-duplicate"])
+        (["1.3627702", "1.36277020"], "b1.3627702"),
+    ], ids=["exact-duplicate", "duplicate-spelled-apart"])
     def test_gains_sharing_a_file_tag_are_refused(self, gains, tag, tmp_path,
                                                  monkeypatch, capsys):
         def built(*args, **kwargs):
@@ -616,6 +716,36 @@ class TestFigureCommand:
         assert f"share the file tag '{tag}'" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_gains_apart_past_six_digits_write_apart(self, tmp_path, capsys):
+        # {:g} prints 6 significant digits, so these shared a file name and
+        # the second curve replaced the first
+        code = main(["figure", "fig2", "--b=1.3627702", "--b=1.3627703",
+                     "--output", str(tmp_path), *SMALL])
+        assert code == 0
+        capsys.readouterr()
+        csvs = sorted(n for n in os.listdir(tmp_path) if n.endswith(".csv"))
+        assert csvs == [f"fig2_{sel}_b{g}.csv" for sel in ("co1", "g3p")
+                        for g in ("1.3627702", "1.3627703")]
+
+    def test_fig5_builds_co1_once_per_gain(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        co1 = bounds.co1_region
+
+        def counted(ch, *args):
+            calls.append(ch.b)
+            return co1(ch, *args)
+
+        monkeypatch.setattr(cli, "co1_region", counted)
+        monkeypatch.setattr(bounds, "co1_region", counted)
+        code = main(["figure", "fig5", "--b", "2", "--b", "3", "--points", "21",
+                     "--cov-points", "9", "--directions", "91", "--output", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        assert calls == [2.0, 3.0]
+        ch = ChannelParams(6.0, 0.0, 3.0)
+        co2 = bounds.co2_region(ch, 21, 9, 91)
+        assert (tmp_path / "fig5_co2_b3.csv").read_text() == csv_reference(co2)
 
     def test_fig5_extreme_case_setting(self, tmp_path, capsys):
         code = main(["figure", "fig5", "--points", "51", "--cov-points", "15",

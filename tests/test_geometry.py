@@ -66,6 +66,58 @@ class TestQuadrantDirections:
             d[0, 0] = 2.0
 
 
+class TestDirectionTable:
+    def test_cached_table_is_read_only(self):
+        table = geometry._quadrant_table(181)
+        assert table.dirs is quadrant_directions(181)
+        for name, arr in table._asdict().items():
+            assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table.det[0] = 1.0
+
+    @pytest.mark.parametrize("n", [3, 5, 181, 721])
+    def test_a_copy_of_the_directions_gives_the_same_bits(self, n):
+        dirs = quadrant_directions(n)
+        frozen = dirs.copy()
+        frozen.flags.writeable = False
+        ch = ChannelParams(6.0, 6.0, 2.0)
+        alphas = np.linspace(0.0, 1.0, 51)
+        for r1, r2, s in (_g2_arrays(ch, alphas), _g3p_arrays(ch, alphas),
+                          _co1_arrays(ChannelParams(6.0, 0.0, 2.0), alphas)):
+            ref = support_max_over_pentagons(r1, r2, s, dirs)
+            region = ConvexRegion.from_support(dirs, ref)
+            for other in (dirs.copy(), frozen):
+                got = support_max_over_pentagons(r1, r2, s, other)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(ConvexRegion.from_support(other, got).boundary,
+                                      region.boundary)
+        for support in (np.full(n, -1.0), np.full(n, np.nan), np.ones(n + 1)):
+            with pytest.raises(ValueError) as want:
+                ConvexRegion(dirs, support, np.zeros((0, 2)))
+            for other in (dirs.copy(), frozen):
+                with pytest.raises(ValueError) as got:
+                    ConvexRegion(other, support, np.zeros((0, 2)))
+                assert str(got.value) == str(want.value)
+
+    def test_directions_are_validated_once_per_n(self, monkeypatch):
+        dirs = quadrant_directions(97)
+        checked = []
+        check = geometry._check_directions
+        monkeypatch.setattr(geometry, "_check_directions",
+                            lambda d: checked.append(d) or check(d))
+        a = hull_of_union([Pentagon(1.0, 1.0, 1.5)], 97)
+        b = hull_of_union([Pentagon(1.5, 0.5, 1.75)], 97)
+        intersect(a, b)
+        assert checked == []
+        ConvexRegion(dirs.copy(), a.support, a.boundary)
+        assert len(checked) == 1
+        # an array that only looks like the cached one is still checked
+        backwards = dirs[::-1].copy()
+        backwards.flags.writeable = False
+        with pytest.raises(ValueError, match="increasing angle"):
+            ConvexRegion(backwards, a.support, a.boundary)
+
+
 class TestPentagonSupport:
     def test_axis_direction(self):
         assert pentagon_support(Pentagon(1, 1, 1.5), (1.0, 0.0)) == 1.0
