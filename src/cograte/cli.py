@@ -76,9 +76,13 @@ REGIME_TOL = 5e-5
 #: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
 #: grid, so for them this bounds work, not memory.  g at --points 201
 #: (8,122,144 with its seed sub-grid), g at 203 (the largest that fits)
-#: and every default fit; g at 201 or 203 takes 0.6-0.85 s in process
-#: (b of 1, 1.3628 and 3.3628), and about 1.1 s and a 39 MB peak for the
-#: whole command on a 2-vCPU host.  bcdms counts as n_cov**3, about the
+#: and every default fit; g at 201 or 203 takes 0.17-0.25 s in process
+#: (b of 1, 1.3628 and 3.3628; 0.32-0.55 s without the block screen, timed
+#: alongside), and about 0.35 s and a 40 MB peak for the whole command on
+#: a 2-vCPU host.  The budget still counts the whole grid, although the
+#: block screen evaluates only part of it on most channels: at P2 = 0,
+#: b = 1 it drops no block, and g --p2 0 --points 203 takes about 8 s and
+#: a 1.9 GB peak on that host.  bcdms counts as n_cov**3, about the
 #: entries its run search reads (one PSD test per (p1_priv, p2_priv,
 #: c_tot)), which admits --cov-points up to 203 (bcdms or co2 at 203
 #: points: about 0.2 s and a 39 MB peak on that host).  A one-parameter
@@ -338,6 +342,18 @@ def _svg_coords(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _svg_points(boundary: np.ndarray, sx, sy) -> str:
+    """The polyline points "x,y x,y ..." of a boundary, each coordinate
+    "%.2f" of sx or sy, in one template pass as write_csv writes its rows.
+
+    sx and sy are affine maps written in numpy's operations and order, so
+    on the columns they give the floats they give on each point.
+    """
+    x, y = np.reshape(boundary, (-1, 2)).T
+    xy = np.column_stack([sx(x), sy(y)]).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
+
+
 def write_svg(path: str, curves: list) -> None:
     """Fixed 800x600 overlay plot; curves is a list of (label, ConvexRegion)."""
     width, height = 800, 600
@@ -350,10 +366,11 @@ def write_svg(path: str, curves: list) -> None:
     xmax = max(0.25, float(np.ceil((xmax + 1e-12) / 0.25) * 0.25))
     ymax = max(0.25, float(np.ceil((ymax + 1e-12) / 0.25) * 0.25))
 
-    def sx(x: float) -> float:
+    # on a float or on an array of them, the same operations in one order
+    def sx(x):
         return ml + (width - ml - mr) * x / xmax
 
-    def sy(y: float) -> float:
+    def sy(y):
         return height - mb - (height - mt - mb) * y / ymax
 
     out = [
@@ -401,10 +418,7 @@ def write_svg(path: str, curves: list) -> None:
     )
     for i, (label, region) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{_svg_coords(sx(float(x)))},{_svg_coords(sy(float(y)))}"
-            for x, y in region.boundary
-        )
+        pts = _svg_points(region.boundary, sx, sy)
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -21,7 +21,11 @@ families as one slab, ``g`` and ``g1`` as a coarse seed slab (at most
 SEED_GRID points per parameter, ends included) and then slabs of whole
 alpha rows.  The seed's corner chain screens each row slab before the
 next is evaluated, so their memory is bounded by the seed, one slab and
-the pentagons that passed.
+the pentagons that passed.  It also screens the row slabs before they are
+evaluated: each ga log argument is monotone in theta, so at each (alpha,
+beta) a block of consecutive thetas is bounded by its members' own float
+expression at the block's two ends, and only the members of the blocks
+whose bounding pentagon may reach the chain are evaluated.
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ _SLAB_PENTAGONS = 2**15
 #: families g and g1 evaluate before their grid (ends included).
 SEED_GRID = 11
 
+#: Theta steps per block of the rate-splitting grid's block screen: a
+#: block is the _THETA_BLOCK + 1 thetas from one block end to the next at
+#: one (alpha, beta), and shares its ends with its neighbours.  Its
+#: bounding pentagon is evaluated first, and its members only when the
+#: seed's chain does not drop it.  3, 5 and 6 were no faster at 101**3.
+_THETA_BLOCK = 4
+
 
 def _check_unit(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
@@ -64,7 +75,8 @@ def _check_log_args(*args: np.ndarray) -> None:
     # The closed forms keep every log argument >= 1; anything smaller means
     # the formula was fed out-of-contract inputs.
     for a in args:
-        if np.any(np.asarray(a) < 1.0 - 1e-12):
+        # fmin passes over NaN, as the comparison with each value does
+        if np.fmin.reduce(a, axis=None, initial=np.inf) < 1.0 - 1e-12:
             raise FloatingPointError("log argument fell below 1 in a closed form")
 
 
@@ -72,7 +84,15 @@ def _hl2(x) -> np.ndarray:
     return 0.5 * np.log2(x)
 
 
-def _ga_arrays(ch: ChannelParams, alpha, beta, theta):
+def _ga_args(ch: ChannelParams, alpha, beta, theta):
+    """The five log arguments of ga: a_r1a, a_r1b, a_r2a, a_r2b and a_sum.
+
+    theta enters only through the coherently relayed power, which grows
+    with it, and the dirty-paper coded power, which falls.  So a_r1a does
+    not depend on theta, a_r2b falls with it and the other three grow, and
+    since correctly rounded +, -, *, / and sqrt are monotone, they do so
+    in floats too.
+    """
     p1, p2, b = ch.p1, ch.p2, ch.b
     own_c = alpha * beta * p1          # common layer of the own message
     own_p = alpha * (1.0 - beta) * p1  # private layer of the own message
@@ -88,11 +108,33 @@ def _ga_arrays(ch: ChannelParams, alpha, beta, theta):
     a_r2b = 1.0 + b2 * rl_dpc
     a_sum = 1.0 + (cross + b2 * own_c) / den2
     _check_log_args(a_r1a, a_r1b, a_r2a, a_r2b, a_sum)
+    return a_r1a, a_r1b, a_r2a, a_r2b, a_sum
 
-    r1 = _hl2(a_r1a) + _hl2(a_r1b)
-    r2 = _hl2(a_r2a) + _hl2(a_r2b)
-    s = _hl2(a_sum) + _hl2(a_r1b) + _hl2(a_r2b)
-    return r1, r2, s
+
+def _ga_arrays(ch: ChannelParams, alpha, beta, theta):
+    a_r1a, a_r1b, a_r2a, a_r2b, a_sum = _ga_args(ch, alpha, beta, theta)
+    # each logarithm once: a_r1b and a_r2b both enter s
+    l_r1b, l_r2b = _hl2(a_r1b), _hl2(a_r2b)
+    return _hl2(a_r1a) + l_r1b, _hl2(a_r2a) + l_r2b, _hl2(a_sum) + l_r1b + l_r2b
+
+
+def _ga_block_bounds(ch: ChannelParams, alpha, beta, ends):
+    """(r1, r2, s) bounding ga over each block of thetas from one of the
+    ends (last axis) to the next.
+
+    By _ga_args, every argument of a block's members lies between its
+    values at the block's two ends, so the check of the ends' arguments
+    covers every member, and each bound is the members' own float
+    expression at the largest arguments: a_r2b of the lower end, the
+    others of the upper.  np.log2 is not proven monotone, so a member's
+    rate may exceed its block's by a few units in the last place
+    (geometry._BLOCK_MARGIN allows for it).  Each logarithm is taken once
+    per end and shared by the two blocks that meet there.
+    """
+    a_r1a, a_r1b, a_r2a, a_r2b, a_sum = _ga_args(ch, alpha, beta, ends)
+    l_r1b, l_r2b = _hl2(a_r1b)[..., 1:], _hl2(a_r2b)[..., :-1]
+    return (_hl2(a_r1a) + l_r1b, _hl2(a_r2a)[..., 1:] + l_r2b,
+            _hl2(a_sum)[..., 1:] + l_r1b + l_r2b)
 
 
 def _gb_arrays(ch: ChannelParams, alpha, beta):
@@ -225,8 +267,39 @@ def _rate_split_bounds(ch: ChannelParams, alphas, betas, thetas):
         _ga_arrays(ch, alphas[alphas == 1.0][:, None], betas[None, :], 0.0),
         _gb_arrays(ch, alphas[:, None], betas[None, :]),
     )
+    return _joined(*parts)
+
+
+def _joined(*parts):
+    """The (r1, r2, s) of each part, flattened and joined in order."""
     flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
     return tuple(np.concatenate(bounds) for bounds in zip(*flat))
+
+
+def _screened_ga(ch: ChannelParams, alphas, betas, thetas, screen):
+    """ga's bounds over alphas x betas x thetas (alphas < 1), evaluated only
+    where the screen keeps a block, as flat (r1, r2, s) in the grid's order.
+
+    The screen gets the bounds of every block (_ga_block_bounds; the last
+    block of a row may be shorter) and returns the mask of those to keep;
+    a member is evaluated when a block holding it is kept, with the
+    expression and in the order of the unscreened grid, so each is the same
+    float as there.  Returns None when every block is kept, as on a flat
+    chain, since the rows are then faster evaluated whole.
+    """
+    ends = np.append(np.arange(0, thetas.size - 1, _THETA_BLOCK), thetas.size - 1)
+    bounds = np.broadcast_arrays(*_ga_block_bounds(
+        ch, alphas[:, None, None], betas[None, :, None], thetas[ends]))
+    keep = screen(*(v.ravel() for v in bounds)).reshape(bounds[0].shape)
+    if keep.all():
+        return None
+    member = np.empty(keep.shape[:2] + thetas.shape, dtype=bool)
+    member[..., :-1] = np.repeat(keep, _THETA_BLOCK, axis=2)[..., :thetas.size - 1]
+    member[..., -1] = keep[..., -1]
+    member[..., ends[1:-1]] |= keep[..., :-1]
+    row, at = np.divmod(np.flatnonzero(member), thetas.size)
+    return _ga_arrays(ch, np.repeat(alphas, betas.size)[row],
+                      np.tile(betas, alphas.size)[row], thetas[at])
 
 
 def _seed_points(grid: np.ndarray) -> np.ndarray:
@@ -242,12 +315,26 @@ def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
     every later slab; its pentagons are taken from the same grid arrays, so
     each is bit for bit a member of the family and the hull is unchanged.
     Each later slab holds as many alpha rows as fit in _SLAB_PENTAGONS (at
-    least one).
+    least one), ga's pentagons with alpha < 1 first, then ga's alpha=1
+    row and gb.  The generator takes the screen that hull_of_slabs sends
+    for the next slab: with one, a row slab evaluates only the ga theta
+    blocks it keeps (_screened_ga); without, every pentagon of the grid.
     """
-    yield _rate_split_bounds(ch, *(_seed_points(g) for g in (alphas, betas, thetas)))
+    screen = yield _rate_split_bounds(ch, *(_seed_points(g) for g in (alphas, betas, thetas)))
     rows = max(1, _SLAB_PENTAGONS // (betas.size * (thetas.size + 1)))
+    # gb depends on (alpha, beta) alone: evaluated once, cut into the slabs
+    gb = np.broadcast_arrays(*_gb_arrays(ch, alphas[:, None], betas[None, :]))
     for lo in range(0, alphas.size, rows):
-        yield _rate_split_bounds(ch, alphas[lo:lo + rows], betas, thetas)
+        slab = alphas[lo:lo + rows]
+        full = slab[slab < 1.0]
+        ga = None if screen is None else _screened_ga(ch, full, betas, thetas, screen)
+        if ga is None:
+            ga = _ga_arrays(ch, full[:, None, None], betas[None, :, None], thetas[None, None, :])
+        parts = [ga, [v[lo:lo + rows] for v in gb]]
+        if full.size < slab.size:
+            # theta is irrelevant at alpha = 1, as in _rate_split_bounds
+            parts.insert(1, _ga_arrays(ch, slab[slab == 1.0][:, None], betas[None, :], 0.0))
+        screen = yield _joined(*parts)
 
 
 def g_region(

@@ -9,7 +9,11 @@ direction, within a few units in the last place of the max over every
 pentagon and exact on the axes.  Every hull is built by hull_of_slabs,
 which takes a union as slabs and screens each later slab by the corner
 chain of the first (Akl and Toussaint, IPL 1978), so only the first slab
-and what passes are held while the next slab is evaluated.
+and what passes are held while the next slab is evaluated.  A generator
+of slabs is sent a block screen on that chain before each later slab: it
+bounds blocks of pentagons first and evaluates only the blocks whose
+bounding pentagon may reach the chain (_blocks_reaching), a sound bound
+per block in the sense of interval analysis (Moore, 1966).
 Every boundary polyline, of a hull or of an intersection of regions, is the
 exact intersection of the sampled halfplanes with the nonnegative quadrant.
 A hull's sampled halfplanes all touch the hull, so its boundary is the
@@ -35,6 +39,12 @@ DEFAULT_DIRECTIONS = 721
 
 #: Vertex deduplication / constraint-check tolerance for boundary extraction.
 _BOUNDARY_TOL = 1e-9
+
+#: Relative margin of the block screen (_blocks_reaching), 2**-44 or 256
+#: units in the last place: a block's members may exceed its bounds by a
+#: quarter of it (np.log2 is not proven monotone), and the rest covers the
+#: rounding of the corners, of y - x and of np.interp, about 20 units.
+_BLOCK_MARGIN = 2.0**-44
 
 
 class _DirectionTable(NamedTuple):
@@ -185,15 +195,45 @@ def _corner_chain(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.array(cx), np.array(cy)
 
 
+def _depth(cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """How far each point lies below the chain along (1, 1); -inf outside
+    the chain's (y - x) range."""
+    return np.interp(y - x, cy - cx, cx, left=-np.inf, right=-np.inf) - x
+
+
 def _near_chain(cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mask of the points at most _BOUNDARY_TOL below the chain along (1, 1).
 
     A point that an end vertex is at or above in both coordinates fails, as
     does every point on the chain's feet; one beyond either end passes.
     """
-    d = np.interp(y - x, cy - cx, cx, left=-np.inf, right=-np.inf) - x
     ends = ((x <= cx[0]) & (y <= cy[0])) | ((x <= cx[-1]) & (y <= cy[-1]))
-    return (d <= _BOUNDARY_TOL) & ~ends
+    return (_depth(cx, cy, x, y) <= _BOUNDARY_TOL) & ~ends
+
+
+def _blocks_reaching(cx: np.ndarray, cy: np.ndarray, r1: np.ndarray, r2: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
+    """Mask of the blocks of pentagons that may hold a top corner _near_chain passes.
+
+    Block i has the bounding pentagon (r1[i], r2[i], s[i]): no member's r1,
+    r2 or s exceeds the block's times 1 + _BLOCK_MARGIN / 4.  A block goes
+    when both top corners of its bounding pentagon lie more than
+    _BOUNDARY_TOL plus _BLOCK_MARGIN times the chain's largest coordinate
+    below the chain along (1, 1), inside the chain's (y - x) range.  The
+    points that far below the chain form a convex, down-closed set, so
+    with the two corners it holds the whole bounding pentagon and, up to
+    the margin, every member's pentagon and top corner.  _near_chain fails
+    each such corner: one inside the range lies too deep, and one outside
+    it lies under an end vertex.  A block with a bound that is not finite
+    is kept, so its members are evaluated and counted.
+    """
+    keep = ~(np.isfinite(r1) & np.isfinite(r2) & np.isfinite(s))
+    if keep.any():
+        keep[~keep] = _blocks_reaching(cx, cy, r1[~keep], r2[~keep], s[~keep])
+        return keep
+    deep = _depth(cx, cy, *_top_corners(r1, r2, s)) > (
+        _BOUNDARY_TOL + _BLOCK_MARGIN * max(cx[0], cy[-1]))
+    return ~(deep[:r1.size] & deep[r1.size:])
 
 
 #: Offsets of the vertices the kernel compares with its searched one.
@@ -386,13 +426,27 @@ def hull_of_slabs(
     empty mask.  The kept pentagons depend on how the union is cut into
     slabs, but none that can attain the maximum is dropped, so the support
     is the same float for every cut and order.
+    A generator of slabs is sent, for each slab after the first non-empty
+    one, the block screen: _blocks_reaching on that chain, which takes the
+    flat (r1, r2, s) bounds of blocks of pentagons not yet evaluated and
+    returns the mask of the blocks that may hold a pentagon the screen
+    keeps, so the generator evaluates only their members.  It is sent None
+    before that and once a bound is not finite, and then yields whole
+    slabs.  Any other iterable is read as it is.
     Raises ValueError when no pentagon is non-empty.  The support at each
     direction is the max of the member supports, to within a few units in
     the last place of the largest bound (see support_max_over_pentagons).
     """
+    slabs = iter(slabs)
+    # a generator is sent the block screen for its next slab
+    send = getattr(slabs, "send", None)
     bad = 0
-    kept, chain = [], None
-    for slab in slabs:
+    kept, chain, screen = [], None, None
+    while True:
+        try:
+            slab = next(slabs) if send is None else send(None if bad else screen)
+        except StopIteration:
+            break
         r1, r2, s = (np.asarray(v, dtype=float).ravel() for v in slab)
         bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
         if bad:
@@ -411,6 +465,10 @@ def hull_of_slabs(
             slab = [v[near[:n] | near[n:]] for v in slab]
         if slab[0].size:
             kept.append(slab)
+        if send is not None and kept and screen is None:
+            if chain is None:
+                chain = _corner_chain(*_top_corners(*kept[0]))
+            screen = functools.partial(_blocks_reaching, *chain)
     if bad:
         raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
     if not kept:

@@ -9,6 +9,7 @@ import os
 import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -670,6 +671,64 @@ class TestCapacityCheckCommand:
         out = capsys.readouterr().out
         assert "b_star = 1\n" in out
         assert "in_regime = yes" in out
+
+
+def _per_point_polylines(curves):
+    """Each curve's polyline points as write_svg formatted them point by
+    point: the fixed 800x600 layout, its axes rounded up to a quarter bit."""
+    xmax = ymax = 0.0
+    for _, region in curves:
+        if region.boundary.size:
+            xmax = max(xmax, float(np.max(region.boundary[:, 0])))
+            ymax = max(ymax, float(np.max(region.boundary[:, 1])))
+    xmax = max(0.25, float(np.ceil((xmax + 1e-12) / 0.25) * 0.25))
+    ymax = max(0.25, float(np.ceil((ymax + 1e-12) / 0.25) * 0.25))
+    return [" ".join(f"{70 + 705 * float(x) / xmax:.2f},{600 - 55 - 520 * float(y) / ymax:.2f}"
+                     for x, y in region.boundary) for _, region in curves]
+
+
+def _svg_polylines(path):
+    return re.findall(r'<polyline points="([^"]*)"', Path(path).read_text())
+
+
+class TestSvgWriter:
+    @pytest.mark.parametrize("figure", sorted(cli.FIGURES))
+    def test_preset_polylines_match_the_per_point_formatter(self, figure, tmp_path,
+                                                            monkeypatch, capsys):
+        curves = []
+        write = cli.write_svg
+
+        def recorded(path, drawn):
+            curves.extend(drawn)
+            return write(path, drawn)
+
+        monkeypatch.setattr(cli, "write_svg", recorded)
+        assert main(["figure", figure, "--output", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert _svg_polylines(tmp_path / f"{figure}.svg") == _per_point_polylines(curves)
+
+    def test_random_polylines_match_the_per_point_formatter(self, tmp_path):
+        # random scales, zeros, points on the hundredth grid and halfway
+        # between, an empty boundary and one of a single vertex
+        rng = np.random.default_rng(12)
+        path = tmp_path / "random.svg"
+        for i in range(60):
+            # write_svg reads only each region's boundary
+            curves = [("empty", SimpleNamespace(boundary=np.empty((0, 2))))] if i == 0 else []
+            for k in range(int(rng.integers(1, 5))):
+                m = int(rng.integers(1, 40))
+                pts = rng.uniform(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (m, 2))
+                pts[rng.random((m, 2)) < 0.1] = 0.0
+                if k == 1:
+                    pts = np.round(pts * 8.0) / 8.0 + rng.integers(0, 2, (m, 2)) * 0.005
+                curves.append((f"c{k}", SimpleNamespace(boundary=pts)))
+            # points that the axes, 2.25 bits long each way, put within
+            # roundoff of a halfway case of "%.2f"
+            steps = rng.integers(0, [70_000, 51_500], (400, 2)) / 100.0
+            near = (steps + 0.005) * 2.25 / [705.0, 520.0]
+            curves.append(("halfway", SimpleNamespace(boundary=np.vstack([near, [2.0, 2.0]]))))
+            cli.write_svg(str(path), curves)
+            assert _svg_polylines(path) == _per_point_polylines(curves), i
 
 
 class TestFigureCommand:

@@ -1,5 +1,6 @@
 """Closed-form Gaussian rate families, the capacity region, and b_star."""
 
+import functools
 import math
 import tracemalloc
 
@@ -320,36 +321,78 @@ def _family_triples(bounds):
     return set(zip(*(v.tolist() for v in bounds)))
 
 
+def _in_order_within(part, whole):
+    """Whether the (r1, r2, s) triples of part are some of whole's, in order."""
+    rest = iter(zip(*(v.tolist() for v in whole)))
+    return all(t in rest for t in zip(*(v.tolist() for v in part)))
+
+
+def _near_seed_chain(chain, slab):
+    """The pentagons of slab with a top corner that _near_chain keeps."""
+    near, n = geometry._near_chain(*chain, *geometry._top_corners(*slab)), slab[0].size
+    return [v[near[:n] | near[n:]] for v in slab]
+
+
 class TestRateSplitSlabs:
     @pytest.mark.parametrize("p2", [6.0, 0.0])
     @pytest.mark.parametrize("b", [1.0, 1.3628, 3.3628])
     def test_slabs_match_the_one_shot_hull(self, b, p2, monkeypatch):
         ch = ChannelParams(6.0, p2, b)
-        na, nb, nt = 23, 7, 9
+        na, nb, nt = 23, 7, 41
         alphas, betas, thetas = (np.linspace(0.0, 1.0, n) for n in (na, nb, nt))
         slabs_seen = []
 
         def recorded(slabs, *args, **kwargs):
-            slabs = list(slabs)
-            slabs_seen.append(slabs)
-            return hull(slabs, *args, **kwargs)
+            seen = []
+            slabs_seen.append(seen)
+
+            def forwarded():
+                # hands on each screen hull_of_slabs sends, as the family's
+                # own generator would receive it
+                screen = None
+                while True:
+                    try:
+                        slab = slabs.send(screen)
+                    except StopIteration:
+                        return
+                    seen.append(slab)
+                    screen = yield slab
+
+            return hull(forwarded(), *args, **kwargs)
 
         hull = gaussian.hull_of_slabs
         monkeypatch.setattr(gaussian, "hull_of_slabs", recorded)
         # two alpha rows per slab: 12 slabs, the last one holding alpha=1 only
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * nb * (nt + 1))
         g = g_region(ch, na, nb, nt, 181)
+        raw_g = list(gaussian._rate_split_slabs(ch, alphas, betas, thetas))
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * (nt + 1))
         g1 = g1_region(ch, na, nt, 181)
+        raw_g1 = list(gaussian._rate_split_slabs(ch, alphas, np.zeros(1), thetas))
         assert len(slabs_seen) == 2
-        # the seed: 11 of the 23 alphas, indices 2.2 apart and rounded, and
-        # every beta and theta, as there are at most SEED_GRID of them
+        # the seed: 11 of the 23 alphas and 41 thetas, indices 2.2 and 4
+        # apart and rounded, and every beta, as there are at most SEED_GRID
         seed_alphas = alphas[[0, 2, 4, 7, 9, 11, 13, 15, 18, 20, 22]]
-        for slabs, bt in zip(slabs_seen, (betas, np.zeros(1))):
+        dropped = 0
+        for slabs, raw, bt in zip(slabs_seen, (raw_g, raw_g1), (betas, np.zeros(1))):
             rows = bt.size
-            assert [r1.size for r1, _, _ in slabs[1:]] == [2 * rows * (nt + 1)] * 11 + [2 * rows]
-            seed = _every_rate_split_pentagon(ch, seed_alphas, bt, thetas)
+            seed = _every_rate_split_pentagon(ch, seed_alphas, bt, thetas[::4])
             assert all(np.array_equal(a, b) for a, b in zip(slabs[0], seed))
+            assert all(np.array_equal(a, b) for a, b in zip(raw[0], seed))
+            # unscreened, each row slab holds the whole grid of its rows
+            assert [r1.size for r1, _, _ in raw[1:]] == [2 * rows * (nt + 1)] * 11 + [2 * rows]
+            chain = geometry._corner_chain(*geometry._top_corners(*seed))
+            for got, whole, tail in zip(slabs[1:], raw[1:], [2 * rows] * 11 + [2 * rows]):
+                # screened, it holds in order a part of its unscreened slab:
+                # every pentagon the seed's chain can keep, and the alpha=1
+                # row and gb whole
+                assert _in_order_within(got, whole)
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(_near_seed_chain(chain, got), _near_seed_chain(chain, whole)))
+                assert all(np.array_equal(a[-tail:], b[-tail:]) for a, b in zip(got, whole))
+                dropped += whole[0].size - got[0].size
+        if p2 > 0.0:
+            assert dropped > 0
         for region, bt in ((g, betas), (g1, np.zeros(1))):
             one_shot = hull_of_slabs(
                 [_every_rate_split_pentagon(ch, alphas, bt, thetas)], 181)
@@ -429,3 +472,124 @@ class TestRateSplitSlabs:
         finally:
             tracemalloc.stop()
         assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+
+#: Channels at the edges of the contract: no power on either side, no gain,
+#: rates that underflow to 0, and powers where the absolute log2 margin is
+#: widest.
+EDGE_CHANNELS = [(0.0, 6.0, 2.0), (6.0, 0.0, 1.0), (6.0, 6.0, 0.0), (0.0, 0.0, 0.0),
+                 (1e-20, 1e9, 1e6), (1e150, 1e150, 1.0)]
+
+
+def _kernel_input(monkeypatch, build):
+    """What build() hands support_max_over_pentagons, and its region."""
+    seen = []
+    kernel = geometry.support_max_over_pentagons
+
+    def recorded(r1, r2, s, dirs):
+        seen.append((r1, r2, s))
+        return kernel(r1, r2, s, dirs)
+
+    monkeypatch.setattr(geometry, "support_max_over_pentagons", recorded)
+    region = build()
+    monkeypatch.undo()
+    (bounds,) = seen
+    return bounds, region
+
+
+class TestBlockScreen:
+    def test_block_bounds_hold_every_member(self):
+        # every member's rates stay within the margin _blocks_reaching
+        # allows above its block's, and every member's log arguments at or
+        # above the smallest at the block's ends (a_r2b at the upper end)
+        rng = np.random.default_rng(22)
+        channels = EDGE_CHANNELS + [tuple(10.0 ** rng.uniform(-6, 6, 3)) for _ in range(30)]
+        slack = 1.0 + geometry._BLOCK_MARGIN / 4
+        for p in channels:
+            ch = ChannelParams(*p)
+            alpha = np.append(rng.uniform(0.0, 1.0, 38), [0.0, 1.0])[:, None]
+            beta = np.append(rng.uniform(0.0, 1.0, 38), [1.0, 0.0])[:, None]
+            for thetas in (np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 30)))),
+                           np.linspace(0.0, 1.0, 101)[20:25], np.linspace(0.0, 1.0, 5)):
+                ends = thetas[[0, -1]]
+                bound = gaussian._ga_block_bounds(ch, alpha, beta, ends)
+                member = _ga_arrays(ch, alpha, beta, thetas[None, :])
+                for m, u in zip(member, bound):
+                    assert np.all(m <= u * slack), p
+                a_r1a, a_r1b, a_r2a, a_r2b, a_sum = gaussian._ga_args(ch, alpha, beta, ends)
+                lowest = (a_r1a, a_r1b[:, :1], a_r2a[:, :1], a_r2b[:, 1:], a_sum[:, :1])
+                for m, lo in zip(gaussian._ga_args(ch, alpha, beta, thetas[None, :]), lowest):
+                    assert np.all(m >= lo), p
+
+    @pytest.mark.parametrize("p", [(10.0, 10.0, 5e153), (10.0, 10.0, 1e154),
+                                   (1e307, 1e307, 10.0)])
+    def test_non_finite_blocks_are_evaluated_member_by_member(self, p):
+        # a chain far above every pentagon drops each block with finite
+        # bounds, yet the screened rows hold every NaN and infinity of the
+        # unscreened ones
+        ch = ChannelParams(*p)
+        grid = np.linspace(0.0, 1.0, 23)
+        above = np.array([1e6, 0.0]), np.array([0.0, 1e6])
+        with np.errstate(all="ignore"):
+            rows = gaussian._screened_ga(ch, grid[:-1], grid, grid,
+                                         functools.partial(geometry._blocks_reaching, *above))
+            whole = _ga_arrays(ch, grid[:-1, None, None], grid[None, :, None], grid[None, None, :])
+        bad = [int(np.count_nonzero(~np.isfinite(v))) for v in whole]
+        assert 0 < sum(bad) and rows[0].size < whole[0].size
+        assert [int(np.count_nonzero(~np.isfinite(v))) for v in rows] == bad
+
+    def test_log_argument_check_reaches_dropped_blocks(self):
+        # past theta = 1 the dirty-paper coded power turns negative, so
+        # a_r2b falls below 1 at the upper end of the last block; the screen
+        # drops every block, yet the check fails
+        grid = np.linspace(0.0, 1.0, 11)
+
+        def never(r1, r2, s):
+            return np.zeros(r1.shape, dtype=bool)
+
+        rows = gaussian._screened_ga(CH, grid[:-1], grid, grid, never)
+        assert rows[0].size == 0
+        with pytest.raises(FloatingPointError, match="log argument"):
+            gaussian._screened_ga(CH, grid[:-1], grid, np.linspace(0.0, 1.2, 13), never)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0, 1.3628, 2.0, 3.3628, 4.0])
+    @pytest.mark.parametrize("family", ["g", "g1"])
+    def test_kernel_input_is_the_unscreened_one(self, family, b, monkeypatch):
+        # the same arrays in the same order as without the block screen
+        ch = ChannelParams(6.0, 6.0, b)
+        for n in (2, 5, 11, 23, 37, 51, 101):
+            grid = np.linspace(0.0, 1.0, n)
+            betas = grid if family == "g" else np.zeros(1)
+            build = ((lambda: g_region(ch, n, n, n, 181)) if family == "g"
+                     else (lambda: g1_region(ch, n, n, 181)))
+            screened, region = _kernel_input(monkeypatch, build)
+            whole, unscreened = _kernel_input(monkeypatch, lambda: hull_of_slabs(
+                list(gaussian._rate_split_slabs(ch, grid, betas, grid)), 181))
+            assert all(np.array_equal(a, b) for a, b in zip(screened, whole)), n
+            assert np.array_equal(region.support, unscreened.support)
+            assert np.array_equal(region.boundary, unscreened.boundary)
+
+    @pytest.mark.parametrize("p", EDGE_CHANNELS)
+    def test_edge_channels_keep_their_kernel_input(self, p, monkeypatch):
+        ch = ChannelParams(*p)
+        grid = np.linspace(0.0, 1.0, 37)
+        screened, _ = _kernel_input(monkeypatch, lambda: g_region(ch, 37, 37, 37, 181))
+        whole, _ = _kernel_input(monkeypatch, lambda: hull_of_slabs(
+            list(gaussian._rate_split_slabs(ch, grid, grid, grid)), 181))
+        assert all(np.array_equal(a, b) for a, b in zip(screened, whole))
+
+    def test_flat_face_drops_no_block(self, monkeypatch):
+        # at P2 = 0, b = 1 every top corner lies within roundoff of the
+        # seed chain's sum face, so the whole grid is evaluated (and the
+        # CLI's budget counts it)
+        kept = []
+        screen = geometry._blocks_reaching
+
+        def counted(*args):
+            keep = screen(*args)
+            kept.append(bool(keep.all()))
+            return keep
+
+        monkeypatch.setattr(geometry, "_blocks_reaching", counted)
+        g_region(ChannelParams(6.0, 0.0, 1.0), 51, 51, 51, 181)
+        assert kept and all(kept)

@@ -628,6 +628,86 @@ class TestSlabPrune:
         assert np.array_equal(reg.support, hull_of_slabs([(r1, r2, s)], 181).support)
 
 
+class TestBlockScreen:
+    def test_a_block_goes_when_both_corners_lie_deep_below_the_chain(self):
+        # chain x + y = 2; the margin is _BLOCK_MARGIN of its largest
+        # coordinate, 2; box bounds have one top corner, the others two
+        cx, cy = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+        tol, margin = geometry._BOUNDARY_TOL, 2.0 * geometry._BLOCK_MARGIN
+        cases = {
+            (0.5, 0.5, 10.0): False,              # 1 below along (1, 1)
+            (1.5, 1.5, 1.8): False,               # both corners 0.1 below
+            (1.8, 1.2, 2.35): True,               # (1.8, 0.55) above the chain
+            (1.15, 1.2, 10.0): True,              # 0.175 above it
+            (1.0, 1.0, 10.0): True,               # on it
+            (1.0 - tol / 2, 1.0 - tol / 2, 10.0): True,    # within tolerance
+            # past the tolerance but within the margin, and past both
+            (1.0 - tol - margin / 2, 1.0 - tol - margin / 2, 10.0): True,
+            (1.0 - tol - 2 * margin, 1.0 - tol - 2 * margin, 10.0): False,
+        }
+        r1, r2, s = np.array(list(cases)).T
+        got = geometry._blocks_reaching(cx, cy, r1, r2, s)
+        assert got.tolist() == list(cases.values())
+
+    def test_only_deep_blocks_inside_the_chains_range_go(self):
+        # chain (2, 0.5), (1.2, 1.2), (0.5, 2): a corner under an end vertex
+        # but outside the (y - x) range is not deep, so its block is kept
+        # (_near_chain still drops such a pentagon once it is evaluated)
+        cx, cy = np.array([2.0, 1.2, 0.5]), np.array([0.5, 1.2, 2.0])
+        r1, r2, s = np.array([[1.9, 0.1, 10.0], [0.1, 1.9, 10.0], [1.0, 1.0, 10.0]]).T
+        assert geometry._blocks_reaching(cx, cy, r1, r2, s).tolist() == [True, True, False]
+
+    def test_blocks_with_bounds_that_are_not_finite_are_kept(self):
+        cx, cy = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+        r1 = np.array([0.5, np.inf, 0.5, 0.5, np.nan, 0.5])
+        r2 = np.array([0.5, 0.5, np.inf, 0.5, 0.5, 0.5])
+        s = np.array([10.0, 10.0, 10.0, np.nan, 10.0, 10.0])
+        assert geometry._blocks_reaching(cx, cy, r1, r2, s).tolist() == [
+            False, True, True, True, True, False]
+
+    @pytest.mark.parametrize("scale, seed", [(1e-6, 1), (1.0, 2), (3e2, 3)])
+    def test_no_member_of_a_dropped_block_reaches_the_kernel(self, scale, seed):
+        # members whose bounds reach the block's times 1 + _BLOCK_MARGIN / 4
+        # all fail _near_chain when their block goes
+        rng = np.random.default_rng(seed)
+        slack = 1.0 + geometry._BLOCK_MARGIN / 4
+        dropped = 0
+        for _ in range(40):
+            t = np.sort(rng.uniform(0.0, np.pi / 2.0, int(rng.integers(2, 12))))
+            cx, cy = geometry._corner_chain(scale * np.cos(t), scale * np.sin(t))
+            r1, r2 = scale * rng.uniform(0.0, 1.1, (2, 300))
+            s = rng.uniform(0.5, 1.2, 300) * (r1 + r2)
+            # bounds just under the chain as well
+            s[:100] = np.maximum(r1, r2)[:100] * (1.0 + rng.uniform(0.0, 0.4, 100))
+            keep = geometry._blocks_reaching(cx, cy, r1, r2, s)
+            dropped += int(np.count_nonzero(~keep))
+            for u in (np.ones(3), np.full(3, slack), rng.uniform(0.9, slack, 3)):
+                m1, m2, ms = (v[~keep] * f for v, f in zip((r1, r2, s), u))
+                near = geometry._near_chain(cx, cy, *geometry._top_corners(m1, m2, ms))
+                assert not near.any()
+        assert dropped > 1000
+
+    def test_a_generator_is_sent_the_screen_after_its_first_kept_slab(self):
+        sent = []
+
+        def family(slabs):
+            for slab in slabs:
+                sent.append((yield slab))
+
+        hull_of_slabs(family([([-1.0], [1.0], [1.0]),                 # all empty
+                              ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0]),  # chain x + y = 2
+                              ([0.5], [0.5], [10.0])]), 181)
+        assert sent[0] is None and callable(sent[1]) and sent[2] is sent[1]
+        keep = sent[1](np.array([0.5, 1.5]), np.array([0.5, 1.5]), np.array([10.0, 10.0]))
+        assert keep.tolist() == [False, True]
+        # once a bound is not finite, the rest come unscreened
+        sent.clear()
+        with pytest.raises(ValueError, match="1 are NaN or infinite"):
+            hull_of_slabs(family([([1.0], [1.0], [1.5]), ([np.inf], [1.0], [1.5]),
+                                  ([1.0], [1.0], [1.5])]))
+        assert callable(sent[0]) and sent[1:] == [None, None]
+
+
 class TestHalfplaneEnvelope:
     def _loose_45_degree_sample(self):
         dirs = quadrant_directions(5)
