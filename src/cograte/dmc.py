@@ -19,7 +19,13 @@ sample axis.  The ``_FACTORS`` table is the single source of each
 factorization: the joint's axes, its einsum and the auxiliaries are all
 derived from it.  Likewise ``_BOUNDS`` is the single source of each
 variant's rate bounds, written as informations in these letters, and one
-routine evaluates them and the high-interference margin.
+routine evaluates them and the high-interference margin.  It reads the
+strings once per (axis letters, bound set) into a cached plan: which table
+each information reads, which axes it sums and merges, and the signed min
+of each bound; a call then only runs numpy on the data.  A batch of joint
+tables is validated once, where it enters that routine (sampled factors
+also where they are drawn); the tables derived from it are not checked
+again.
 
 Every evaluation runs on a batch of samples stacked along the leading axis
 s; the single-distribution API is a batch of one.  A random search or
@@ -35,6 +41,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,10 +112,10 @@ def _check_stochastic(name: str, arr: np.ndarray, block_ndim: int) -> np.ndarray
     a = np.asarray(arr, dtype=float)
     if a.ndim < block_ndim:
         raise ValueError(f"{name} needs at least {block_ndim} axes, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
+    if not np.isfinite(a).all() or (a < 0.0).any():
         raise ValueError(f"{name} entries must be finite and >= 0")
     sums = a.sum(axis=tuple(range(a.ndim - block_ndim, a.ndim)))
-    if not np.all(np.abs(sums - 1.0) <= _ROW_TOL):
+    if not (np.abs(sums - 1.0) <= _ROW_TOL).all():
         raise ValueError(f"{name} rows must sum to 1 within {_ROW_TOL}")
     return a
 
@@ -231,7 +238,9 @@ def mutual_information(joint: np.ndarray) -> float:
     t = np.asarray(joint, dtype=float)
     if t.ndim != 2:
         raise ValueError(f"mutual information needs a 2-D table, got {t.ndim}-D")
-    return float(_mutual_information(t[None])[0])
+    _check_table(t[None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_mutual_information(t[None])[0])
 
 
 def conditional_mi(joint: np.ndarray) -> float:
@@ -239,29 +248,33 @@ def conditional_mi(joint: np.ndarray) -> float:
     t = np.asarray(joint, dtype=float)
     if t.ndim != 3:
         raise ValueError(f"conditional mutual information needs a 3-D table, got {t.ndim}-D")
-    return float(_conditional_mi(t[None])[0])
+    _check_table(t[None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_conditional_mi(t[None])[0])
 
 
 def _mutual_information(t: np.ndarray) -> np.ndarray:
-    """I(A;B) per sample of a batch of tables over (s, A, B)."""
-    _check_table(t)
+    """I(A;B) per sample of a batch of checked tables over (s, A, B).
+
+    The caller ignores divide and invalid, whose results the mask drops.
+    """
     pa = t.sum(axis=2)
     pb = t.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = t * np.log2(t / (pa[:, :, None] * pb[:, None, :]))
+    terms = t * np.log2(t / (pa[:, :, None] * pb[:, None, :]))
     return _guard_mi(_masked_sum(t, terms), min(t.shape[1:]))
 
 
 def _conditional_mi(t: np.ndarray) -> np.ndarray:
-    """I(A;B|C) per sample of a batch of tables over (s, A, B, C)."""
-    _check_table(t)
+    """I(A;B|C) per sample of a batch of checked tables over (s, A, B, C).
+
+    The caller ignores divide and invalid, whose results the mask drops.
+    """
     pac = t.sum(axis=2)
     pbc = t.sum(axis=1)
     pc = pac.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = t * np.log2(
-            t * pc[:, None, None, :] / (pac[:, :, None, :] * pbc[:, None, :, :])
-        )
+    terms = t * np.log2(
+        t * pc[:, None, None, :] / (pac[:, :, None, :] * pbc[:, None, :, :])
+    )
     return _guard_mi(_masked_sum(t, terms), min(t.shape[1], t.shape[2]))
 
 
@@ -272,10 +285,10 @@ def _masked_sum(t: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 def _check_table(t: np.ndarray) -> None:
     """Validate every table of a batch; the first bad sample is reported."""
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+    if not np.isfinite(t).all() or (t < 0.0).any():
         raise ValueError("probability table entries must be finite and >= 0")
     off = np.abs(t.reshape(len(t), -1).sum(axis=1) - 1.0) > _NORM_TOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"probability table sums to {t[np.argmax(off)].sum()!r}, not 1")
 
 
@@ -283,7 +296,7 @@ def _guard_mi(mi: np.ndarray, n_min: int) -> np.ndarray:
     cap = np.log2(n_min) if n_min > 1 else 0.0
     negative = mi < -1e-12
     bad = negative | (mi > cap + _NORM_TOL)
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         if negative[i]:
             raise FloatingPointError(f"mutual information came out negative: {float(mi[i])}")
@@ -293,56 +306,103 @@ def _guard_mi(mi: np.ndarray, n_min: int) -> np.ndarray:
     return np.where(mi < 0.0, 0.0, mi)
 
 
-def _table(joint: np.ndarray, groups) -> np.ndarray:
-    """Marginalize a batch to the listed axes and merge each group into one axis.
+class _Info(NamedTuple):
+    """How one information is read off its table.
 
-    Axis numbers count a sample's axes, after the leading sample axis.
+    table is "m" or "n" for the joints pushed through k1 or k2, "" for the
+    auxiliaries alone; other are the table's axes summed away, perm the
+    transpose of the rest into group order, and groups the table's axes
+    (after s) merged into each axis of I(A;B) (two groups) or I(A;B|C)
+    (three).
     """
-    keep = [ax for g in groups for ax in g]
-    other = tuple(i + 1 for i in range(joint.ndim - 1) if i not in keep)
-    t = joint.sum(axis=other) if other else joint
-    order = {ax: i + 1 for i, ax in enumerate(sorted(keep))}
-    t = np.transpose(t, [0] + [order[ax] for ax in keep])
-    return t.reshape([len(t)] + [math.prod(joint.shape[ax + 1] for ax in g) for g in groups])
+
+    table: str
+    other: tuple
+    perm: tuple
+    groups: tuple
+
+
+class _Plan(NamedTuple):
+    """What _evaluate does to a batch of joints, read off the bound strings.
+
+    tables pairs each table an information reads with the einsum subscripts
+    that push the joints through its kernel, or with the x and z axes that
+    are summed away; infos are the distinct informations in order of first
+    appearance; bounds hold, per bound and alternative, the index of the
+    first information and the (sign, index) of each one after it.
+    """
+
+    tables: tuple
+    infos: tuple
+    bounds: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(letters: str, bounds: tuple) -> _Plan:
+    """The plan of the bounds over joints whose axes after s are the letters.
+
+    An information naming m (y1) or n (y2) is read off the joints pushed
+    through k1 or k2, which keep the auxiliaries and any of x, z a bound
+    names; any other off the auxiliaries alone.  The keys are a variant's
+    letters with its _BOUNDS, or "xz" with _MARGIN: six plans in all.
+    """
+    alts = [[alt.split() for alt in bound.split(",")] for bound in bounds]
+    names = list(dict.fromkeys(t for bound in alts for alt in bound for t in alt[::2]))
+    named = set("".join(names))
+    aux = "".join(c for c in letters if c not in "xz")
+    kept = "".join(c for c in letters if c in aux or c in named)
+    tables, infos = {}, []
+    for t in names:
+        out = "m" if "m" in t else "n" if "n" in t else ""
+        axes = kept + out if out else aux
+        if out not in tables:
+            tables[out] = (f"s{letters},xm->s{axes}" if out == "m"
+                           else f"s{letters},xzn->s{axes}" if out == "n"
+                           else tuple(1 + letters.index(c) for c in "xz"))
+        groups = [tuple(axes.index(c) for c in g) for g in t.replace("|", ";").split(";")]
+        keep = [ax for g in groups for ax in g]
+        order = {ax: i + 1 for i, ax in enumerate(sorted(keep))}
+        infos.append(_Info(out, tuple(i + 1 for i in range(len(axes)) if i not in keep),
+                           (0, *(order[ax] for ax in keep)),
+                           tuple(tuple(ax + 1 for ax in g) for g in groups)))
+    index = {t: i for i, t in enumerate(names)}
+    return _Plan(tuple(tables.items()), tuple(infos), tuple(
+        tuple((index[alt[0]], tuple((sign, index[t]) for sign, t in zip(alt[1::2], alt[2::2])))
+              for alt in bound)
+        for bound in alts))
 
 
 def _evaluate(joints: np.ndarray, letters: str, bounds: tuple, ch: DmcChannel) -> list:
     """Each bound of a batch of joint tables whose axes after s are the letters.
 
     A bound is the min over its comma-separated alternatives, each a signed
-    sum of informations "A;B" or "A;B|C" taken left to right.  An
-    information naming m (y1) or n (y2) is read off the joints pushed
-    through k1 or k2, which keep the auxiliaries and any of x, z a bound
-    names; any other off the auxiliaries alone.  Each distinct information
-    is computed once.
+    sum of informations "A;B" or "A;B|C" taken left to right.  The plan of
+    the bounds is built once per (letters, bounds); each distinct
+    information is computed once per call.  The batch is validated here,
+    where it enters, and the tables derived from it are not checked again.
     """
-    alts = [[alt.split() for alt in bound.split(",")] for bound in bounds]
-    infos = dict.fromkeys(t for bound in alts for alt in bound for t in alt[::2])
-    named = set("".join(infos))
-    aux = "".join(c for c in letters if c not in "xz")
-    kept = "".join(c for c in letters if c in aux or c in named)
-    tables = {}
-    for t in infos:
-        out = "m" if "m" in t else "n" if "n" in t else ""
-        axes = kept + out if out else aux
-        if out not in tables:
-            tables[out] = (
-                np.einsum(f"s{letters},xm->s{axes}", joints, ch.k1) if out == "m"
-                else np.einsum(f"s{letters},xzn->s{axes}", joints, ch.k2_cube) if out == "n"
-                else joints.sum(axis=tuple(1 + letters.index(c) for c in "xz"))
-            )
-        groups = [tuple(axes.index(c) for c in g) for g in t.replace("|", ";").split(";")]
-        mi = _mutual_information if len(groups) == 2 else _conditional_mi
-        infos[t] = mi(_table(tables[out], groups))
-    result = []
-    for bound in alts:
-        sums = []
-        for alt in bound:
-            acc = infos[alt[0]]
-            for sign, t in zip(alt[1::2], alt[2::2]):
-                acc = acc + infos[t] if sign == "+" else acc - infos[t]
-            sums.append(acc)
-        result.append(functools.reduce(np.minimum, sums))
+    plan = _plan(letters, bounds)
+    _check_table(joints)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tables = {out: np.einsum(src, joints, ch.k1 if out == "m" else ch.k2_cube) if out
+                  else joints.sum(axis=src) for out, src in plan.tables}
+        infos = []
+        for info in plan.infos:
+            src = tables[info.table]
+            t = src.sum(axis=info.other) if info.other else src
+            t = t.transpose(info.perm).reshape(
+                [len(t)] + [math.prod(src.shape[ax] for ax in g) for g in info.groups])
+            mi = _mutual_information if len(info.groups) == 2 else _conditional_mi
+            infos.append(mi(t))
+        result = []
+        for bound in plan.bounds:
+            sums = []
+            for first, rest in bound:
+                acc = infos[first]
+                for sign, i in rest:
+                    acc = acc + infos[i] if sign == "+" else acc - infos[i]
+                sums.append(acc)
+            result.append(functools.reduce(np.minimum, sums))
     return result
 
 
@@ -537,12 +597,20 @@ def random_search_region(
 ) -> ConvexRegion:
     """Hull of the variant's pentagons over sampled input distributions.
 
+    For full, r1, r2 and r3 every sampled pentagon is achievable, so the
+    hull is an inner bound of the region.  For outer it is an inner
+    estimate of the DM outer bound: the bound is the union over every
+    p(u,x1,x2), so a sampled hull can lie inside it but not certify it,
+    and its provenance says so.
+
     The samples are those of n_samples random_dist calls on one generator,
     np.random.default_rng(seed): a fixed seed gives a bit-identical region,
     and a search is the first n_samples samples of any longer one at the
     same seed, so its hull only grows with n_samples.  seed is a
     non-negative integer.  Samples are evaluated in chunks along a leading
-    sample axis, which changes no bit either.
+    sample axis, which changes no bit either; each chunk's factors are
+    checked where they are drawn and its joints where they enter the
+    evaluation.
     """
     _check_sampling(n_samples, seed)
     sizes = _alphabet_sizes(variant, ch, aux_sizes)
@@ -563,5 +631,6 @@ def random_search_region(
         )
     return hull_of_slabs(
         [(r1, r2, s)], n_directions,
-        provenance=f"{variant}-search(n={n_samples},seed={seed})",
+        provenance=f"{variant}-search(n={n_samples},seed={seed}"
+                   + (",inner estimate of the DM outer bound)" if variant == "outer" else ")"),
     )

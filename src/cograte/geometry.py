@@ -252,8 +252,11 @@ def support_max_over_pentagons(
     chain edges k-1 and k, so one searchsorted of the directions' angles
     among the edge normals finds it; the rounded angles can place it one
     vertex off, so the largest dx*x + dy*y over it and its two neighbours is
-    taken.  That is within a few units in the last place of the largest
-    bound of the max over every pentagon, by the vertex form or by the
+    taken.  Where the normals are not monotone, the running maximum that
+    makes them searchable raises a run of them, and the directions that run
+    covers take the best of every vertex it can hide (_widen_raised).  That
+    is within a few units in the last place of the largest bound of the max
+    over every pentagon, by the vertex form or by the
     LP-dual closed form min(dx*a + dy*b - m*max(a + b - c, 0), M*c), m and
     M the smaller and larger direction component; it is read off the chain
     alone, so the same kept corners give the same float in any order.  On
@@ -267,13 +270,42 @@ def support_max_over_pentagons(
         raise ValueError("no pentagons supplied")
     cx, cy = _corner_chain(*_top_corners(r1, r2, s))
     t = _directions_of(dirs)
-    normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
+    raw = np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1])
+    normals = np.maximum.accumulate(raw)
     k = np.searchsorted(normals, t.angles)
     # the flattest normals can all round to 90 degrees; the r2 axis takes
     # the last vertex, as the r1 axis takes the first
     k[t.r2_axis] = cx.size - 1
     near = np.clip(k + _NEIGHBOURS, 0, cx.size - 1)
-    return np.max(t.dx * cx[near] + t.dy * cy[near], axis=0)
+    h = np.max(t.dx * cx[near] + t.dy * cy[near], axis=0)
+    raised = normals > raw
+    if raised.any():
+        _widen_raised(h, cx, cy, raw, normals, raised, t)
+    return h
+
+
+def _widen_raised(h: np.ndarray, cx: np.ndarray, cy: np.ndarray, raw: np.ndarray,
+                  normals: np.ndarray, raised: np.ndarray, t: _DirectionTable) -> None:
+    """Raise h, in place, to the max over every vertex a raised run of normals hides.
+
+    Two chain vertices a few ulps apart pass the float turn test with an
+    edge normal far off its neighbours', so the normals are not monotone
+    and the accumulate raises a run of them to the peak M before it.  A
+    direction between the run's lowest normal L and M may then peak at any
+    vertex from the last one whose edges all have normals below L up to
+    the vertex after the run, and the searched vertex can be more than one
+    step from it.  Those directions take the max over that whole window,
+    with one vertex more on each side for the rounded angles; any other
+    keeps its value.  Each vertex's value is the same float expression as
+    in the search, so where the search found the maximizer h is unchanged.
+    """
+    edges = np.flatnonzero(raised)
+    breaks = np.flatnonzero(np.diff(edges) > 1)
+    for p, q in zip(edges[np.append(0, breaks + 1)], edges[np.append(breaks, -1)]):
+        low, peak = raw[p:q + 1].min(), normals[p]
+        d = slice(np.searchsorted(t.angles, low), np.searchsorted(t.angles, peak, "right"))
+        v = slice(max(int(np.searchsorted(normals, low)) - 1, 0), q + 3)
+        h[d] = np.maximum(h[d], np.max(t.dx[d, None] * cx[v] + t.dy[d, None] * cy[v], axis=1))
 
 
 def _dedupe(x: np.ndarray, y: np.ndarray) -> np.ndarray:

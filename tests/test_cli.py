@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cograte import bounds, cli, gaussian
+from cograte import bounds, cli, gaussian, geometry
 from cograte.cli import RunConfig, main
 from cograte.model import ChannelParams
 from cograte.gaussian import g_region
@@ -313,6 +313,29 @@ class TestRegionCommand:
         pts = read_csv(out[0])
         # CSV fields carry 9 significant digits, so compare at 1e-8
         assert pts[:, 0].max() == pytest.approx(hl2(7), abs=1e-8)
+
+    @pytest.mark.parametrize("select, points", [("g", "11"), ("g1", "46")])
+    def test_chain_vertices_ulps_apart_keep_the_support_tight(self, select, points,
+                                                             tmp_path, monkeypatch):
+        # two vertices of the corner chain lie a few ulps apart, so its edge
+        # normals are not monotone; the searched vertex alone was up to 0.21
+        # bits short, and the emitted boundary check exited 3
+        calls = []
+        kernel = geometry.support_max_over_pentagons
+
+        def recorded(r1, r2, s, dirs):
+            calls.append((r1, r2, s, dirs, kernel(r1, r2, s, dirs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(geometry, "support_max_over_pentagons", recorded)
+        code = main(["region", "--p1", "1e6", "--p2", "1", "--b", "0.5", "--select", select,
+                     "--points", points, "--directions", "181", "--output", str(tmp_path)])
+        assert code == 0
+        assert calls
+        for r1, r2, s, dirs, got in calls:
+            x, y = geometry._top_corners(np.ravel(r1), np.ravel(r2), np.ravel(s))
+            want = (x[:, None] * dirs[:, 0] + y[:, None] * dirs[:, 1]).max(axis=0)
+            assert (want - got).max() <= 4.0 * np.spacing(want.max())
 
     def test_degenerate_channel_emits_a_segment(self, tmp_path, capsys):
         code = main(["region", "--p1", "0", "--p2", "6", "--b", "2",

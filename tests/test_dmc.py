@@ -1,6 +1,7 @@
 """Finite-alphabet regions: exact mutual-information evaluation, the four
 achievable-region variants, the outer bound, and randomized search."""
 
+import functools
 import math
 
 import numpy as np
@@ -475,6 +476,13 @@ class TestRandomSearch:
         c = random_search_region(ch, "r3", n_samples=50, seed=10, n_directions=181)
         assert not np.array_equal(a.support, c.support)
 
+    def test_outer_search_is_labelled_an_inner_estimate(self):
+        ch = noiseless_pair()
+        reg = random_search_region(ch, "outer", n_samples=20, seed=0, n_directions=181)
+        assert reg.provenance == "outer-search(n=20,seed=0,inner estimate of the DM outer bound)"
+        reg = random_search_region(ch, "r2", n_samples=20, seed=0, n_directions=181)
+        assert reg.provenance == "r2-search(n=20,seed=0)"
+
     def test_all_empty_samples_raise(self):
         # y1 is pure noise, so the binning penalty always wins for r3
         k1 = np.full((2, 2), 0.5)
@@ -708,3 +716,194 @@ def test_every_bound_matches_an_entropy_oracle(variant, overrides):
             want = PAPER_BOUNDS[variant](entropy_oracle(d, ch))
             got = (p.r1_max, p.r2_max, p.sum_max)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+
+
+def _ref_mutual_information(t):
+    dmc._check_table(t)
+    pa = t.sum(axis=2)
+    pb = t.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = t * np.log2(t / (pa[:, :, None] * pb[:, None, :]))
+    return dmc._guard_mi(_ref_masked_sum(t, terms), min(t.shape[1:]))
+
+
+def _ref_conditional_mi(t):
+    dmc._check_table(t)
+    pac = t.sum(axis=2)
+    pbc = t.sum(axis=1)
+    pc = pac.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = t * np.log2(
+            t * pc[:, None, None, :] / (pac[:, :, None, :] * pbc[:, None, :, :])
+        )
+    return dmc._guard_mi(_ref_masked_sum(t, terms), min(t.shape[1], t.shape[2]))
+
+
+def _ref_masked_sum(t, terms):
+    return np.where(t > 0.0, terms, 0.0).reshape(len(t), -1).sum(axis=1)
+
+
+def _ref_table(joint, groups):
+    keep = [ax for g in groups for ax in g]
+    other = tuple(i + 1 for i in range(joint.ndim - 1) if i not in keep)
+    t = joint.sum(axis=other) if other else joint
+    order = {ax: i + 1 for i, ax in enumerate(sorted(keep))}
+    t = np.transpose(t, [0] + [order[ax] for ax in keep])
+    return t.reshape([len(t)] + [math.prod(joint.shape[ax + 1] for ax in g) for g in groups])
+
+
+def _ref_evaluate(joints, letters, bounds, ch):
+    """The bound strings parsed and every derived table checked on each call,
+    the reference for the cached plan."""
+    alts = [[alt.split() for alt in bound.split(",")] for bound in bounds]
+    infos = dict.fromkeys(t for bound in alts for alt in bound for t in alt[::2])
+    named = set("".join(infos))
+    aux = "".join(c for c in letters if c not in "xz")
+    kept = "".join(c for c in letters if c in aux or c in named)
+    tables = {}
+    for t in infos:
+        out = "m" if "m" in t else "n" if "n" in t else ""
+        axes = kept + out if out else aux
+        if out not in tables:
+            tables[out] = (
+                np.einsum(f"s{letters},xm->s{axes}", joints, ch.k1) if out == "m"
+                else np.einsum(f"s{letters},xzn->s{axes}", joints, ch.k2_cube) if out == "n"
+                else joints.sum(axis=tuple(1 + letters.index(c) for c in "xz"))
+            )
+        groups = [tuple(axes.index(c) for c in g) for g in t.replace("|", ";").split(";")]
+        mi = _ref_mutual_information if len(groups) == 2 else _ref_conditional_mi
+        infos[t] = mi(_ref_table(tables[out], groups))
+    result = []
+    for bound in alts:
+        sums = []
+        for alt in bound:
+            acc = infos[alt[0]]
+            for sign, t in zip(alt[1::2], alt[2::2]):
+                acc = acc + infos[t] if sign == "+" else acc - infos[t]
+            sums.append(acc)
+        result.append(functools.reduce(np.minimum, sums))
+    return result
+
+
+def _with_zeros(factors):
+    """The factors with each entry below half its row's largest set to 0,
+    rows renormalized; the largest entry stays, so every row keeps mass."""
+    out = {}
+    for name, f in factors.items():
+        rows = f.reshape(len(f), -1, math.prod(f.shape[f.ndim - DIST_AXES[name]:]))
+        rows = np.where(rows < 0.5 * rows.max(axis=-1, keepdims=True), 0.0, rows)
+        out[name] = (rows / rows.sum(axis=-1, keepdims=True)).reshape(f.shape)
+    return out
+
+
+class TestEvaluatePlan:
+    @pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zeros"])
+    @pytest.mark.parametrize("n", [1, 53])
+    @pytest.mark.parametrize("overrides", [False, True], ids=["default", "aux"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bounds_equal_the_per_call_reference(self, variant, overrides, n, zeros):
+        rng = np.random.default_rng(6)
+        aux = AUX_OVERRIDES[variant] if overrides else None
+        for ch in (noisy_channel(), noiseless_pair(), crossover_pair()):
+            sizes = dmc._alphabet_sizes(variant, ch, aux)
+            factors = dmc._sample_factors(variant, sizes, rng, n)
+            if zeros:
+                factors = _with_zeros(factors)
+            args = (dmc._joints(variant, factors), dmc._JOINT_AXES[variant],
+                    dmc._BOUNDS[variant], ch)
+            got, want = dmc._evaluate(*args), _ref_evaluate(*args)
+            assert len(got) == len(want) == 3
+            for g, w in zip(got, want):
+                assert g.shape == (n,)
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zeros"])
+    @pytest.mark.parametrize("n", [1, 53])
+    def test_margin_equals_the_per_call_reference(self, n, zeros):
+        rng = np.random.default_rng(8)
+        for ch in (noisy_channel(), noiseless_pair(), crossover_pair()):
+            (pxx,) = dmc._dirichlet(rng, n, [((ch.nx1, ch.nx2), 2)])
+            if zeros:
+                pxx = _with_zeros({"puv": pxx})["puv"]
+            (got,) = dmc._evaluate(pxx, "xz", dmc._MARGIN, ch)
+            (want,) = _ref_evaluate(pxx, "xz", dmc._MARGIN, ch)
+            assert np.array_equal(got, want)
+
+    def test_the_plan_is_built_once_per_letters_and_bounds(self):
+        plan = dmc._plan(dmc._JOINT_AXES["full"], dmc._BOUNDS["full"])
+        assert dmc._plan(dmc._JOINT_AXES["full"], dmc._BOUNDS["full"]) is plan
+        # the sum bound names vb;n|u, ua;m and a;bv|u again: nine named, six
+        # computed
+        assert len(plan.infos) == 6
+        assert [out for out, _ in plan.tables] == ["m", "", "n"]
+
+
+class TestValidationWhereDataEnters:
+    def _count_checks(self, monkeypatch):
+        checked = []
+        check = dmc._check_table
+        monkeypatch.setattr(dmc, "_check_table", lambda t: checked.append(t.shape) or check(t))
+        return checked
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_chunk_of_joints_is_checked_once(self, variant, monkeypatch):
+        ch = noisy_channel()
+        joint_entries = random_dist(variant, ch).joint().size
+        monkeypatch.setattr(dmc, "_CHUNK_ENTRIES", 7 * joint_entries * max(ch.ny1, ch.ny2))
+        checked = self._count_checks(monkeypatch)
+        random_search_region(ch, variant, n_samples=37, seed=4, n_directions=181)
+        assert [shape[0] for shape in checked] == [7, 7, 7, 7, 7, 2]
+        assert {shape[1:] for shape in checked} == {random_dist(variant, ch).joint().shape}
+
+    def test_high_interference_checks_each_chunk_once(self, monkeypatch):
+        ch = noisy_channel()
+        monkeypatch.setattr(dmc, "_CHUNK_ENTRIES", 10 * 6 * 2)
+        checked = self._count_checks(monkeypatch)
+        check_high_interference(ch, 25, seed=1)
+        assert checked == [(10, 2, 3), (10, 2, 3), (5, 2, 3)]
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda j: np.where(np.arange(j.size).reshape(j.shape) == 5, np.nan, j),
+         "finite and >= 0"),
+        (lambda j: j * 1.01, "sums to"),
+    ], ids=["nan", "not-stochastic"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_bad_joint_is_refused(self, variant, spoil, match, monkeypatch):
+        joints = dmc._joints
+        monkeypatch.setattr(dmc, "_joints", lambda v, f: spoil(joints(v, f)))
+        with pytest.raises(ValueError, match=match):
+            random_search_region(noisy_channel(), variant, n_samples=5, seed=0)
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda p: -p, "finite and >= 0"),
+        (lambda p: p * 0.5, "sums to"),
+    ], ids=["negative", "not-stochastic"])
+    def test_high_interference_refuses_a_bad_draw(self, spoil, match, monkeypatch):
+        draw = dmc._dirichlet
+        monkeypatch.setattr(dmc, "_dirichlet", lambda *args: [spoil(a) for a in draw(*args)])
+        with pytest.raises(ValueError, match=match):
+            check_high_interference(noisy_channel(), 5, seed=0)
+
+    @pytest.mark.parametrize("table, match", [
+        (np.full((2, 2, 2), 0.1), "sums to"),
+        (np.full((2, 2, 2), np.nan), "finite and >= 0"),
+        (np.array([[[0.5, -0.25], [0.25, 0.5]], [[0.0, 0.0], [0.0, 0.0]]]),
+         "finite and >= 0"),
+        (np.full((2, 2), 0.25), "3-D"),
+    ], ids=["sum", "nan", "negative", "2-D"])
+    def test_conditional_mi_refuses_a_bad_table(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            conditional_mi(table)
+
+    def test_mutual_information_refuses_nan(self):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            mutual_information(np.array([[0.5, np.nan], [0.25, 0.25]]))
+
+    def test_factored_dist_refuses_a_nan_factor(self):
+        with pytest.raises(ValueError, match="pv2 entries must be finite and >= 0"):
+            FactoredDist("r2", {
+                "pu1": np.full(2, 0.5),
+                "pv2": np.array([np.nan, 0.5]),
+                "px1": delta_cond((2, 2), 2, lambda u, v: u),
+                "px2": delta_cond((2,), 2, lambda v: v),
+            })

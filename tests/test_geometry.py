@@ -362,6 +362,67 @@ def test_edge_across_a_direction_gives_its_better_end():
         assert np.array_equal(got, _corner_support(r1, r2, s, dirs)), (r1, r2)
 
 
+def _searched_support(r1, r2, s, dirs):
+    """The kernel's search alone, without widening raised runs: the reference."""
+    cx, cy = geometry._corner_chain(*geometry._top_corners(r1, r2, s))
+    t = geometry._directions_of(dirs)
+    normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
+    k = np.searchsorted(normals, t.angles)
+    k[t.r2_axis] = cx.size - 1
+    near = np.clip(k + geometry._NEIGHBOURS, 0, cx.size - 1)
+    return np.max(t.dx * cx[near] + t.dy * cy[near], axis=0)
+
+
+def _raised_normals(r1, r2, s):
+    """True when the accumulate raises some edge normal of the corner chain."""
+    cx, cy = geometry._corner_chain(*geometry._top_corners(r1, r2, s))
+    raw = np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1])
+    return bool(np.any(np.maximum.accumulate(raw) > raw))
+
+
+#: Four vertices of the corner chain of `region --p1 1e6 --p2 1 --b 0.5
+#: --select g --points 11 --directions 181`: the middle two lie a few ulps
+#: apart and pass the float turn test, so the edge normals run 50.54 then
+#: 36.87 degrees and the accumulate flattens the second; searched alone, 181
+#: directions come out up to 0.138 bits short of the maximum.
+_ULPS_APART_CHAIN = np.array([
+    (6.711688879250742, 3.2566169449612565),
+    (1.057733984711114, 7.9100662184929496),
+    (1.0577339847111134, 7.91006621849295),
+    (0.0, 8.968669667072538),
+])
+
+
+def test_raised_normals_widen_to_the_maximum_over_the_corners():
+    dirs = quadrant_directions(181)
+    r1, r2 = _ULPS_APART_CHAIN.T
+    s = r1 + r2 + 1.0
+    assert geometry._corner_chain(r1, r2)[0].size == 4
+    want = _corner_support(r1, r2, s, dirs)
+    assert (want - _searched_support(r1, r2, s, dirs)).max() > 0.1
+    got = support_max_over_pentagons(r1, r2, s, dirs)
+    assert np.abs(got - want).max() <= 4.0 * np.spacing(want.max())
+
+
+def test_monotone_chains_keep_the_searched_supports():
+    # a sum bound above x + y makes both top corners (x, y)
+    families = _kernel_families() + [(name, x, y, x + y + 1.0) for name, x, y in _chain_inputs()]
+    monotone = 0
+    for n_directions in (181, 721):
+        dirs = quadrant_directions(n_directions)
+        for name, r1, r2, s in families:
+            got = support_max_over_pentagons(r1, r2, s, dirs)
+            ref = _searched_support(r1, r2, s, dirs)
+            if _raised_normals(r1, r2, s):
+                assert np.all(got >= ref), name
+                tol = 8.0 * np.spacing(max(r1.max(), r2.max(), s.max()))
+                assert np.abs(got - _corner_support(r1, r2, s, dirs)).max() <= tol, name
+            else:
+                monotone += 1
+                assert np.array_equal(got, ref), name
+    assert monotone > 0
+
+
 def _loop_chain(x, y):
     """The monotone-chain loop over the whole staircase, the reference."""
     order = np.lexsort((-y, -x))
