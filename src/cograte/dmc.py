@@ -261,7 +261,12 @@ def _mutual_information(t: np.ndarray) -> np.ndarray:
     pa = t.sum(axis=2)
     pb = t.sum(axis=1)
     terms = t * np.log2(t / (pa[:, :, None] * pb[:, None, :]))
-    return _guard_mi(_masked_sum(t, terms), min(t.shape[1:]))
+
+    def in_logs(i):
+        logs = np.log2(t[i]) - np.log2(pa[i][:, :, None]) - np.log2(pb[i][:, None, :])
+        return _masked_sum(t[i], t[i] * logs)
+
+    return _guard_mi(_masked_sum(t, terms), min(t.shape[1:]), in_logs)
 
 
 def _conditional_mi(t: np.ndarray) -> np.ndarray:
@@ -275,7 +280,13 @@ def _conditional_mi(t: np.ndarray) -> np.ndarray:
     terms = t * np.log2(
         t * pc[:, None, None, :] / (pac[:, :, None, :] * pbc[:, None, :, :])
     )
-    return _guard_mi(_masked_sum(t, terms), min(t.shape[1], t.shape[2]))
+
+    def in_logs(i):
+        logs = (np.log2(t[i]) + np.log2(pc[i][:, None, None, :])
+                - np.log2(pac[i][:, :, None, :]) - np.log2(pbc[i][:, None, :, :]))
+        return _masked_sum(t[i], t[i] * logs)
+
+    return _guard_mi(_masked_sum(t, terms), min(t.shape[1], t.shape[2]), in_logs)
 
 
 def _masked_sum(t: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -292,13 +303,29 @@ def _check_table(t: np.ndarray) -> None:
         raise ValueError(f"probability table sums to {t[np.argmax(off)].sum()!r}, not 1")
 
 
-def _guard_mi(mi: np.ndarray, n_min: int) -> np.ndarray:
+def _guard_mi(mi: np.ndarray, n_min: int, in_logs=None) -> np.ndarray:
+    """The informations mi, clamped to 0 from below, each checked against
+    [-1e-12, log2(n_min) + _NORM_TOL]; NaN fails both tests.
+
+    A product of table entries can underflow, and the ratio of the terms
+    is then 0/0 or off by orders of magnitude.  in_logs, when given,
+    recomputes the samples of a mask from the logarithms of the entries
+    and marginals, and it is called on the samples whose sum is not finite
+    before any is refused.
+    """
     cap = np.log2(n_min) if n_min > 1 else 0.0
-    negative = mi < -1e-12
-    bad = negative | (mi > cap + _NORM_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if negative[i]:
+    low = mi >= -1e-12
+    ok = low & (mi <= cap + _NORM_TOL)
+    if not ok.all():
+        redo = ~np.isfinite(mi)
+        if in_logs is not None and redo.any():
+            mi = mi.copy()
+            mi[redo] = in_logs(redo)
+            return _guard_mi(mi, n_min)
+        i = int(np.argmin(ok))
+        if np.isnan(mi[i]):
+            raise FloatingPointError("mutual information came out NaN")
+        if not low[i]:
             raise FloatingPointError(f"mutual information came out negative: {float(mi[i])}")
         raise FloatingPointError(
             f"mutual information {float(mi[i])} exceeds its alphabet cap {cap}"

@@ -63,6 +63,14 @@ SEED_GRID = 11
 #: seed's chain does not drop it.  3, 5 and 6 were no faster at 101**3.
 _THETA_BLOCK = 4
 
+#: Largest share of a row slab's theta blocks the block screen keeps and
+#: still pays for.  At 101**3, hull screening included, bounding a slab's
+#: blocks costs about 0.3 of evaluating its rows whole and evaluating the
+#: kept members about 2.0 times the kept share of it, so past a share of
+#: 0.49 the rows are faster evaluated whole.  The later slabs are then
+#: evaluated whole too: with the bounds, they would pay only below 0.34.
+_SCREEN_KEEP_MAX = 0.5
+
 
 def _check_unit(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
@@ -284,14 +292,15 @@ def _screened_ga(ch: ChannelParams, alphas, betas, thetas, screen):
     block of a row may be shorter) and returns the mask of those to keep;
     a member is evaluated when a block holding it is kept, with the
     expression and in the order of the unscreened grid, so each is the same
-    float as there.  Returns None when every block is kept, as on a flat
-    chain, since the rows are then faster evaluated whole.
+    float as there.  Returns None when more than _SCREEN_KEEP_MAX of the
+    blocks are kept, as on a flat chain, since the rows are then faster
+    evaluated whole.
     """
     ends = np.append(np.arange(0, thetas.size - 1, _THETA_BLOCK), thetas.size - 1)
     bounds = np.broadcast_arrays(*_ga_block_bounds(
         ch, alphas[:, None, None], betas[None, :, None], thetas[ends]))
     keep = screen(*(v.ravel() for v in bounds)).reshape(bounds[0].shape)
-    if keep.all():
+    if np.count_nonzero(keep) > _SCREEN_KEEP_MAX * keep.size:
         return None
     member = np.empty(keep.shape[:2] + thetas.shape, dtype=bool)
     member[..., :-1] = np.repeat(keep, _THETA_BLOCK, axis=2)[..., :thetas.size - 1]
@@ -318,16 +327,21 @@ def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
     least one), ga's pentagons with alpha < 1 first, then ga's alpha=1
     row and gb.  The generator takes the screen that hull_of_slabs sends
     for the next slab: with one, a row slab evaluates only the ga theta
-    blocks it keeps (_screened_ga); without, every pentagon of the grid.
+    blocks it keeps (_screened_ga); without, or once a slab's screen kept
+    too many blocks to pay, every pentagon of the grid.
     """
     screen = yield _rate_split_bounds(ch, *(_seed_points(g) for g in (alphas, betas, thetas)))
     rows = max(1, _SLAB_PENTAGONS // (betas.size * (thetas.size + 1)))
     # gb depends on (alpha, beta) alone: evaluated once, cut into the slabs
     gb = np.broadcast_arrays(*_gb_arrays(ch, alphas[:, None], betas[None, :]))
+    screening = True
     for lo in range(0, alphas.size, rows):
         slab = alphas[lo:lo + rows]
         full = slab[slab < 1.0]
-        ga = None if screen is None else _screened_ga(ch, full, betas, thetas, screen)
+        ga = None
+        if screening and screen is not None:
+            ga = _screened_ga(ch, full, betas, thetas, screen)
+            screening = ga is not None
         if ga is None:
             ga = _ga_arrays(ch, full[:, None, None], betas[None, :, None], thetas[None, None, :])
         parts = [ga, [v[lo:lo + rows] for v in gb]]

@@ -15,10 +15,10 @@ bounds blocks of pentagons first and evaluates only the blocks whose
 bounding pentagon may reach the chain (_blocks_reaching), a sound bound
 per block in the sense of interval analysis (Moore, 1966).
 Every boundary polyline, of a hull or of an intersection of regions, is the
-exact intersection of the sampled halfplanes with the nonnegative quadrant.
-A hull's sampled halfplanes all touch the hull, so its boundary is the
-intersections of consecutive lines; an intersection of regions has loose
-halfplanes and is traced by a sorted-angle halfplane intersection.
+intersection of the sampled halfplanes with the nonnegative quadrant, to
+within roundoff.  A hull's sampled halfplanes all touch the hull, so its
+boundary is the intersections of consecutive lines; an intersection of two
+regions has loose halfplanes, and its boundary is merged from theirs.
 What the kernel and the envelope read of the directions alone is one
 read-only table per direction count, built and validated once with
 quadrant_directions(n); a region on that array skips the direction checks.
@@ -52,8 +52,8 @@ class _DirectionTable(NamedTuple):
 
     dx, dy and angles = arctan2(dy, dx) are what support_max_over_pentagons
     searches, r2_axis the indices with dx = 0; a0, b0, a, b and det are the
-    coefficients of consecutive lines of _quadrant_lines and their
-    determinants, from which _tight_envelope takes each vertex as
+    coefficients of consecutive lines (y >= 0, the samples, x >= 0) and
+    their determinants, from which _tight_envelope takes each vertex as
     ((h0*b - h*b0)/det, (a0*h - a*h0)/det).
     """
 
@@ -71,8 +71,7 @@ class _DirectionTable(NamedTuple):
 
 def _direction_table(dirs: np.ndarray) -> _DirectionTable:
     dx, dy = dirs[:, 0].copy(), dirs[:, 1].copy()
-    # the lines of _quadrant_lines, y >= 0, the samples, x >= 0, each with
-    # the next one
+    # the lines y >= 0, the samples, x >= 0, each with the next one
     a0, b0 = np.append(0.0, dx), np.append(-1.0, dy)
     a, b = np.append(dx, -1.0), np.append(dy, 0.0)
     # the angle step is in (0, 180) degrees, so det > 0
@@ -112,11 +111,6 @@ def _cached_table(dirs: np.ndarray) -> _DirectionTable | None:
         return None
     table = _quadrant_table(len(dirs))
     return table if table.dirs is dirs else None
-
-
-def _directions_of(dirs: np.ndarray) -> _DirectionTable:
-    """The direction table of dirs: the cached one, or one built for this call."""
-    return _cached_table(dirs) or _direction_table(dirs)
 
 
 def _check_directions(d: np.ndarray) -> None:
@@ -269,7 +263,7 @@ def support_max_over_pentagons(
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
     cx, cy = _corner_chain(*_top_corners(r1, r2, s))
-    t = _directions_of(dirs)
+    t = _cached_table(dirs) or _direction_table(dirs)
     raw = np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1])
     normals = np.maximum.accumulate(raw)
     k = np.searchsorted(normals, t.angles)
@@ -322,12 +316,6 @@ def _dedupe(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.column_stack([x[keep], y[keep]])
 
 
-def _quadrant_lines(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """(n + 2, 3) rows (a, b, h) of a.x + b.y <= h: y >= 0, the samples, x >= 0."""
-    return np.vstack([(0.0, -1.0, 0.0), np.column_stack([dirs, support]),
-                      (-1.0, 0.0, 0.0)])
-
-
 def _tight_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Vertices of {x >= 0, y >= 0, d_i.x <= h_i} when every halfplane is tight.
 
@@ -338,7 +326,8 @@ def _tight_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     along the line, the line is loose and ValueError is raised.  Returns
     an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
     """
-    t = _directions_of(np.asarray(dirs, dtype=float))
+    dirs = np.asarray(dirs, dtype=float)
+    t = _cached_table(dirs) or _direction_table(dirs)
     hs = np.concatenate(([0.0], support, [0.0]))
     h0, h = hs[:-1], hs[1:]
     x = (h0 * t.b - h * t.b0) / t.det
@@ -353,30 +342,40 @@ def _tight_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     return _dedupe(np.maximum(x, 0.0), np.maximum(y, 0.0))
 
 
-def _halfplane_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Vertices of {x >= 0, y >= 0, d_i.x <= h_i}, from the r1 axis to the r2 axis.
+def _merged_envelope(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boundary of the intersection of two regions, merged from their own
+    boundaries (O'Rourke, Chien, Olson and Naddor, CGIP 1982).
 
-    Sorted-angle halfplane intersection (Preparata and Shamos, Computational
-    Geometry, 1985): the lines y = 0, then d_i.x = h_i by increasing angle,
-    then x = 0 are pushed on a stack; a line first pops every line whose
-    vertex with its predecessor it cuts off.  Exact for any h_i >= 0, tight
-    or not.  Returns an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
+    Along a boundary x falls and y rises, so u = y - x grows by at least
+    each edge's length, and the region meets each line y - x = u of its u
+    range from the axes up to x(u).  The intersection is bounded by the
+    lower x(u): each parent's vertices at or below the other's, a crossing
+    wherever x_a - x_b, linear between merged vertices, changes sign, and
+    the lower axis ends.  A gap x_a - x_b within 2**-40 of the largest axis
+    end, about 8 times the roundoff of a hull's vertices, counts as 0:
+    a crossing read off roundoff can slide far along its edges.  Returns
+    an (m, 2) polyline clamped at 0 and deduplicated at _BOUNDARY_TOL.
     """
-    lines = _quadrant_lines(dirs, support).tolist()
-    stack, verts = [lines[0]], []
-    for a, b, h in lines[1:]:
-        # d.x grows along the chain built so far (every stacked angle is
-        # smaller), so the lines to drop are all on top of the stack
-        while verts and a * verts[-1][0] + b * verts[-1][1] > h:
-            stack.pop()
-            verts.pop()
-        a0, b0, h0 = stack[-1]
-        # the angle step is in (0, 180) degrees, so det > 0
-        det = a0 * b - b0 * a
-        verts.append(((h0 * b - h * b0) / det, (a0 * h - a * h0) / det))
-        stack.append((a, b, h))
-    x, y = np.maximum(verts, 0.0).T
-    return _dedupe(x, y)
+    ua, ub = a[:, 1] - a[:, 0], b[:, 1] - b[:, 0]
+    u = np.concatenate([ua, ub])
+    order = np.argsort(u, kind="stable")
+    u = u[order]
+    # each parent's x(u) at every merged vertex, NaN outside its u range
+    xa = np.interp(u, ua, a[:, 0], np.nan, np.nan)
+    gap = xa - np.interp(u, ub, b[:, 0], np.nan, np.nan)
+    gap[np.abs(gap) <= 2.0**-40 * max(a[0, 0], a[-1, 1], b[0, 0], b[-1, 1])] = 0.0
+    c = np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0.0)
+    t = gap[c] / (gap[c] - gap[c + 1])
+    # slots [k, 0] hold merged vertex k and [k, 1] the crossing after it
+    v, keep = np.empty((u.size, 2, 2)), np.zeros((u.size, 2), dtype=bool)
+    v[:, 0] = np.concatenate([a, b])[order]
+    keep[:, 0] = np.where(order < len(a), -gap, gap) >= 0.0
+    v[c, 1, 0] = xa[c] + t * (xa[c + 1] - xa[c])
+    v[c, 1, 1] = v[c, 1, 0] + (u[c] + t * (u[c + 1] - u[c]))
+    keep[c, 1] = True
+    x, y = np.concatenate([[[-max(ua[0], ub[0]), 0.0]], v[keep],
+                           [[0.0, min(ua[-1], ub[-1])]]]).T
+    return _dedupe(np.maximum(x, 0.0), np.maximum(y, 0.0))
 
 
 @dataclass(frozen=True)
@@ -519,18 +518,17 @@ def _check_same_directions(a: ConvexRegion, b: ConvexRegion) -> None:
 
 
 def intersect(a: ConvexRegion, b: ConvexRegion, provenance: str = "") -> ConvexRegion:
-    """Exact intersection of the sampled halfplanes of two regions.
+    """Intersection of the sampled halfplanes of two regions, to within roundoff.
 
-    The boundary is the envelope of min(a.support, b.support); the support
-    is read back off its vertices, since the pointwise min of two support
-    functions is loose wherever neither parent's halfplane is tight.
+    Each boundary must be the envelope of its own support, as that of every
+    from_support and intersect result is.  The boundary is merged from the
+    two (_merged_envelope) and the support read back off its vertices: the
+    pointwise min of two supports is loose where neither halfplane is tight.
     """
     _check_same_directions(a, b)
-    dirs = a.directions
-    boundary = _halfplane_envelope(dirs, np.minimum(a.support, b.support))
-    support = np.max(boundary @ dirs.T, axis=0)
-    return ConvexRegion(directions=dirs, support=support, boundary=boundary,
-                        provenance=provenance)
+    boundary = _merged_envelope(a.boundary, b.boundary)
+    support = np.max(boundary @ a.directions.T, axis=0)
+    return ConvexRegion(a.directions, support, boundary, provenance)
 
 
 def directed_gap(outer: ConvexRegion, inner: ConvexRegion) -> float:

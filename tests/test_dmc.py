@@ -899,6 +899,31 @@ class TestValidationWhereDataEnters:
         with pytest.raises(ValueError, match="finite and >= 0"):
             mutual_information(np.array([[0.5, np.nan], [0.25, 0.25]]))
 
+    def test_the_guard_refuses_nan(self):
+        for mi in (np.array([0.5, np.nan]), np.array([np.nan])):
+            with pytest.raises(FloatingPointError, match="NaN"):
+                dmc._guard_mi(mi, 2)
+        with pytest.raises(FloatingPointError, match="negative"):
+            dmc._guard_mi(np.array([0.5, -1e-9]), 2)
+        with pytest.raises(FloatingPointError, match="exceeds"):
+            dmc._guard_mi(np.array([1.5]), 2)
+        assert dmc._guard_mi(np.array([-1e-13, 1.0]), 2).tolist() == [0.0, 1.0]
+
+    def test_underflowing_products_are_taken_in_logs(self):
+        # every product of the c = 0 entries and marginals underflows to
+        # 0, so the ratio of the terms is 0/0; I(A;B|C) is 1 bit at c = 1
+        t = np.zeros((2, 2, 2))
+        t[0, 0, 0] = t[1, 1, 0] = 5e-324
+        t[0, 1, 1] = t[1, 0, 1] = 0.5
+        assert conditional_mi(t) == 1.0
+        # pa * pb underflows to 0 at the small entries, and t / 0 is inf
+        small = np.array([[1e-170, 1e-170], [1e-170, 1.0 - 3e-170]])
+        assert 0.0 <= mutual_information(small) <= 1e-160
+        # only the samples whose sum is not finite are taken again
+        batch = np.stack([t, np.full((2, 2, 2), 0.125)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert dmc._conditional_mi(batch).tolist() == [1.0, 0.0]
+
     def test_factored_dist_refuses_a_nan_factor(self):
         with pytest.raises(ValueError, match="pv2 entries must be finite and >= 0"):
             FactoredDist("r2", {

@@ -362,6 +362,8 @@ class TestRateSplitSlabs:
 
         hull = gaussian.hull_of_slabs
         monkeypatch.setattr(gaussian, "hull_of_slabs", recorded)
+        # screen every slab, however many blocks it keeps
+        monkeypatch.setattr(gaussian, "_SCREEN_KEEP_MAX", 1.0)
         # two alpha rows per slab: 12 slabs, the last one holding alpha=1 only
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * nb * (nt + 1))
         g = g_region(ch, na, nb, nt, 181)
@@ -523,10 +525,11 @@ class TestBlockScreen:
 
     @pytest.mark.parametrize("p", [(10.0, 10.0, 5e153), (10.0, 10.0, 1e154),
                                    (1e307, 1e307, 10.0)])
-    def test_non_finite_blocks_are_evaluated_member_by_member(self, p):
+    def test_non_finite_blocks_are_evaluated_member_by_member(self, p, monkeypatch):
         # a chain far above every pentagon drops each block with finite
         # bounds, yet the screened rows hold every NaN and infinity of the
         # unscreened ones
+        monkeypatch.setattr(gaussian, "_SCREEN_KEEP_MAX", 1.0)
         ch = ChannelParams(*p)
         grid = np.linspace(0.0, 1.0, 23)
         above = np.array([1e6, 0.0]), np.array([0.0, 1e6])
@@ -577,6 +580,31 @@ class TestBlockScreen:
         whole, _ = _kernel_input(monkeypatch, lambda: hull_of_slabs(
             list(gaussian._rate_split_slabs(ch, grid, grid, grid)), 181))
         assert all(np.array_equal(a, b) for a, b in zip(screened, whole))
+
+    @pytest.mark.parametrize("p2, b, screened", [(0.0, 2.0, 1), (0.0, 3.0, 1),
+                                                 (6.0, 1.3628, 34), (6.0, 3.3628, 34)])
+    def test_a_slab_past_the_break_even_ends_the_screen(self, p2, b, screened, monkeypatch):
+        # at P2 = 0, b > 1 the first row slab keeps nearly every block, so
+        # it and every later slab are evaluated whole; at the fig3 gains
+        # every one of the 34 row slabs is screened
+        shares = []
+        screen = geometry._blocks_reaching
+
+        def counted(*args):
+            keep = screen(*args)
+            shares.append(keep.mean())
+            return keep
+
+        ch = ChannelParams(6.0, p2, b)
+        monkeypatch.setattr(geometry, "_blocks_reaching", counted)
+        got, region = _kernel_input(monkeypatch, lambda: g_region(ch, 101, 101, 101, 181))
+        assert len(shares) == screened
+        assert (max(shares) > gaussian._SCREEN_KEEP_MAX) == (screened == 1)
+        grid = np.linspace(0.0, 1.0, 101)
+        whole, unscreened = _kernel_input(monkeypatch, lambda: hull_of_slabs(
+            list(gaussian._rate_split_slabs(ch, grid, grid, grid)), 181))
+        assert all(np.array_equal(x, y) for x, y in zip(got, whole))
+        assert np.array_equal(region.boundary, unscreened.boundary)
 
     def test_flat_face_drops_no_block(self, monkeypatch):
         # at P2 = 0, b = 1 every top corner lies within roundoff of the

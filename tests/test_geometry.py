@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cograte.bounds import _co1_arrays, co1_region
+from cograte.bounds import _co1_arrays, bcdms_region, co1_region
 from cograte.gaussian import (
     _capacity_arrays,
     _g2_arrays,
@@ -365,7 +365,7 @@ def test_edge_across_a_direction_gives_its_better_end():
 def _searched_support(r1, r2, s, dirs):
     """The kernel's search alone, without widening raised runs: the reference."""
     cx, cy = geometry._corner_chain(*geometry._top_corners(r1, r2, s))
-    t = geometry._directions_of(dirs)
+    t = geometry._cached_table(dirs) or geometry._direction_table(dirs)
     normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
     k = np.searchsorted(normals, t.angles)
     k[t.r2_axis] = cx.size - 1
@@ -769,6 +769,34 @@ class TestBlockScreen:
         assert callable(sent[0]) and sent[1:] == [None, None]
 
 
+def _stack_envelope(dirs, support):
+    """Vertices of {x >= 0, y >= 0, d_i.x <= h_i}, from the r1 axis to the r2
+    axis, one line at a time: the reference for the hull envelope and the
+    merge in intersect.
+
+    Sorted-angle halfplane intersection (Preparata and Shamos, Computational
+    Geometry, 1985): the lines y = 0, then d_i.x = h_i by increasing angle,
+    then x = 0 are pushed on a stack; a line first pops every line whose
+    vertex with its predecessor it cuts off.  Exact for any h_i >= 0, tight
+    or not.  Returns an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
+    """
+    lines = np.vstack([(0.0, -1.0, 0.0), np.column_stack([dirs, support]),
+                       (-1.0, 0.0, 0.0)]).tolist()
+    stack, verts = [lines[0]], []
+    for a, b, h in lines[1:]:
+        # d.x grows along the chain built so far (every stacked angle is
+        # smaller), so the lines to drop are all on top of the stack
+        while verts and a * verts[-1][0] + b * verts[-1][1] > h:
+            stack.pop()
+            verts.pop()
+        a0, b0, h0 = stack[-1]
+        det = a0 * b - b0 * a
+        verts.append(((h0 * b - h * b0) / det, (a0 * h - a * h0) / det))
+        stack.append((a, b, h))
+    x, y = np.maximum(verts, 0.0).T
+    return geometry._dedupe(x, y)
+
+
 class TestHalfplaneEnvelope:
     def _loose_45_degree_sample(self):
         dirs = quadrant_directions(5)
@@ -778,7 +806,7 @@ class TestHalfplaneEnvelope:
 
     def test_vertex_between_tight_halfplanes_around_a_loose_one(self):
         dirs, h = self._loose_45_degree_sample()
-        boundary = geometry._halfplane_envelope(dirs, h)
+        boundary = _stack_envelope(dirs, h)
         # the 22.5- and 67.5-degree lines meet on the diagonal
         v = h[1] / (dirs[1, 0] + dirs[1, 1])
         assert v == pytest.approx(0.853553, abs=1e-6)
@@ -790,28 +818,28 @@ class TestHalfplaneEnvelope:
         with pytest.raises(ValueError, match="loose at 1 sampled directions"):
             ConvexRegion.from_support(dirs, h)
 
-    def test_hulls_never_take_the_stack_path(self, monkeypatch):
-        def refuse(dirs, support):
-            raise AssertionError("halfplane stack used")
+    def test_hulls_never_take_the_merge_path(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("boundary merge used")
 
-        monkeypatch.setattr(geometry, "_halfplane_envelope", refuse)
+        monkeypatch.setattr(geometry, "_merged_envelope", refuse)
         a = _hull(Pentagon(1, 0.2, 1.2), Pentagon(0.7, 0.7, 1.0), n=181)
         b = _hull(Pentagon(0.2, 1, 1.2), n=181)
-        with pytest.raises(AssertionError, match="stack"):
+        with pytest.raises(AssertionError, match="merge"):
             intersect(a, b)
 
     @pytest.mark.parametrize("b", [1.0, 1.3628, 3.3628])
     def test_hull_boundary_matches_the_stack_on_the_paper_families(self, b):
         ch = ChannelParams(6.0, 6.0, b)
         for reg in (g2_region(ch), g3p_region(ch), capacity_region(ch), co1_region(ch)):
-            stack = geometry._halfplane_envelope(reg.directions, reg.support)
+            stack = _stack_envelope(reg.directions, reg.support)
             assert reg.boundary.shape == stack.shape, reg.provenance
             assert np.abs(reg.boundary - stack).max() <= 1e-12, reg.provenance
 
     def test_hull_boundary_matches_the_stack_on_the_fig3_g_family(self):
         for b in (1.3628, 3.3628):
             reg = g_region(ChannelParams(6.0, 6.0, b), 101, 101, 101)
-            stack = geometry._halfplane_envelope(reg.directions, reg.support)
+            stack = _stack_envelope(reg.directions, reg.support)
             assert reg.boundary.shape == stack.shape
             assert np.abs(reg.boundary - stack).max() <= 1e-12
 
@@ -819,7 +847,7 @@ class TestHalfplaneEnvelope:
         # g3p at b = 1.3628 tops out on the r2 axis, where the lines of the
         # last two samples meet a roundoff width away from it
         reg = g3p_region(ChannelParams(6.0, 6.0, 1.3628))
-        stack = geometry._halfplane_envelope(reg.directions, reg.support)
+        stack = _stack_envelope(reg.directions, reg.support)
         for boundary in (reg.boundary, stack):
             assert boundary[0, 1] == 0.0 and boundary[0, 0] == reg.support[0]
             assert boundary[-1, 0] == 0.0 and boundary[-1, 1] == reg.support[-1]
@@ -838,6 +866,84 @@ class TestHalfplaneEnvelope:
         assert np.abs(reg.support - expect).max() <= 1e-12
         with pytest.raises(ValueError, match="direction"):
             intersect(a, _hull(Pentagon(1, 1, 1.5), n=91))
+
+
+#: co2 channels (P1, P2, b) of the merge's property test.  The first six
+#: are the CI determinism step's: the outer-bound and fig5 presets, co1
+#: inside bcdms at the default (6, 6, 1), bcdms inside co1 at (6, 1, 2)
+#: (and at P2 = 0), co1 inside bcdms touching it at one vertex, (0, 0.5368)
+#: on the r2 axis, at (6, 0.1, 0.3), and the widest scale.  Then the fig3
+#: gain 1.3628, parents that coincide to roundoff at P1 = 0 and at P2 = 0,
+#: b = 1, and flat ones at b = 0.
+CO2_CHANNELS = [(6.0, 6.0, 3.3628), (6.0, 0.0, 2.0), (6.0, 6.0, 1.0), (6.0, 1.0, 2.0),
+                (6.0, 0.1, 0.3), (1e150, 1e150, 1.0), (6.0, 6.0, 1.3628), (0.0, 5.0, 1.5),
+                (6.0, 0.0, 1.0), (6.0, 6.0, 0.0)]
+
+
+def _random_hull(rng, n, scale):
+    k = int(rng.integers(1, 5))
+    r1, r2 = scale * rng.uniform(0.0, 1.0, k), scale * rng.uniform(0.0, 1.0, k)
+    s = np.maximum(r1, r2) + rng.uniform(0.0, 1.0, k) * np.minimum(r1, r2)
+    return hull_of_slabs([(r1, r2, s)], n)
+
+
+def _merge_pairs():
+    """(name, a, b) region pairs for the merge's property test."""
+    rng = np.random.default_rng(24)
+    pairs = []
+    for i in range(200):
+        # 250 bits is the scale of the rates at P1 = P2 = 1e150
+        n, scale = (181, 721)[i % 2], (1.0, 1e-3, 20.0, 250.0)[i % 4]
+        pairs.append((f"random{i}", _random_hull(rng, n, scale), _random_hull(rng, n, scale)))
+    for n in (181, 721):
+        box = _hull(Pentagon(1, 1, 1.5), n=n)
+        pairs += [
+            # each has a vertex at (0.8, 0.6) on the other's boundary
+            (f"touch{n}", _hull(Pentagon(0.8, 1.0, 1.4), n=n), _hull(Pentagon(1.0, 0.6, 1.4), n=n)),
+            (f"inside{n}", box, _hull(Pentagon(2, 2, 3), n=n)),
+            # box's corners lie on the triangle's edge
+            (f"inside-touching{n}", _hull(Pentagon(1.5, 1.5, 1.5), n=n), box),
+            (f"identical{n}", box, box),
+            (f"random-identical{n}", *[_random_hull(np.random.default_rng(n), n, 1.0)] * 2),
+        ]
+        # the CLI's default grids at 721 directions, coarser ones at 181
+        grids = (201, 41) if n == 721 else (51, 11)
+        for p1, p2, b in CO2_CHANNELS:
+            ch = ChannelParams(p1, p2, b)
+            pairs.append((f"co2{(p1, p2, b)}-{n}", co1_region(ch, grids[0], n),
+                          bcdms_region(ch, grids[1], n)))
+    return pairs
+
+
+class TestIntersectMerge:
+    def test_matches_the_stack_and_stays_inside_both_parents(self):
+        for name, a, b in _merge_pairs():
+            got = intersect(a, b)
+            d = got.directions
+            h = np.minimum(a.support, b.support)
+            ref = np.max(_stack_envelope(d, h) @ d.T, axis=0)
+            assert np.all(np.abs(got.support - ref) <= 1e-12 * np.maximum(1.0, ref)), name
+            assert np.all(got.boundary @ d.T <= h + geometry._BOUNDARY_TOL), name
+            assert got.boundary[0].tolist() == [min(a.support[0], b.support[0]), 0.0], name
+            assert got.boundary[-1].tolist() == [0.0, min(a.support[-1], b.support[-1])], name
+            # an intersection is a parent of the next one, and lies in a
+            again = intersect(got, a)
+            assert np.all(np.abs(again.support - got.support)
+                          <= 1e-12 * np.maximum(1.0, got.support)), name
+
+    def test_identical_parents_give_the_parent(self):
+        for n in (181, 721):
+            a = _random_hull(np.random.default_rng(n), n, 1.0)
+            got = intersect(a, a)
+            assert np.array_equal(got.boundary, a.boundary)
+            # read back off the same vertices, within roundoff of the kernel's
+            assert np.abs(got.support - a.support).max() <= 1e-12
+
+    def test_touching_parents_meet_at_their_shared_vertex(self):
+        a = _hull(Pentagon(0.8, 1.0, 1.4), n=181)
+        b = _hull(Pentagon(1.0, 0.6, 1.4), n=181)
+        got = intersect(a, b)
+        assert np.abs(got.boundary - [[0.8, 0.0], [0.8, 0.6], [0.0, 0.6]]).max() <= 1e-12
 
 
 class TestRegionContains:
