@@ -65,7 +65,7 @@ def co1_region(
 ) -> ConvexRegion:
     """Hull of the co1 pentagons over a uniform rho grid."""
     return hull_of_slabs(
-        [_co1_arrays(ch, _unit_grid(n_rho, "rho"))], n_directions,
+        _co1_arrays(ch, _unit_grid(n_rho, "rho")), n_directions,
         provenance=f"co1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -155,7 +155,7 @@ def bcdms_region(
     if n_grid < 2:
         raise ValueError(f"covariance grid needs at least 2 points, got {n_grid}")
     return hull_of_slabs(
-        [_bcdms_slab(ch, n_grid)],
+        _bcdms_slab(ch, n_grid),
         n_directions,
         provenance=f"bcdms(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

@@ -38,13 +38,13 @@ from .bounds import DEFAULT_COV_GRID, bcdms_region, co1_region, co2_region
 from .gaussian import (
     DEFAULT_G_GRID,
     DEFAULT_GRID,
-    SEED_GRID,
     b_star,
     capacity_region,
     g1_region,
     g2_region,
     g3p_region,
     g_region,
+    rate_split_pentagons,
 )
 from .geometry import (
     _BOUNDARY_TOL,
@@ -169,6 +169,13 @@ class RunConfig:
             raise ValueError("at least one --select is required")
         if self.command == "compare" and len(self.selections) < 2:
             raise ValueError("compare needs at least 2 distinct selections")
+        # a file, or a path under one, cannot take the output files;
+        # capacity-check writes none
+        head = os.path.abspath(self.output)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if self.command != "capacity-check" and not os.path.isdir(head):
+            raise ValueError(f"--output {self.output!r} is not a directory: {head!r} is a file")
         for sel in self.selections:
             count = _pentagon_count(sel, self)
             if count > MAX_PENTAGONS:
@@ -206,15 +213,14 @@ def _points(sel: str, cfg: RunConfig) -> int:
 
 def _pentagon_count(sel: str, cfg: RunConfig) -> int:
     """Pentagons build_region evaluates for sel, empty or not (for g and
-    g1 their grid and their seed sub-grid of at most SEED_GRID points per
-    parameter; for bcdms the n_cov**3 entries its run search reads, since
-    it evaluates only the top of each feasible c_priv run)."""
+    g1 as many as their block screen evaluates when it keeps every block;
+    for bcdms the n_cov**3 entries its run search reads, since it
+    evaluates only the top of each feasible c_priv run)."""
     k = _points(sel, cfg)
-    m = min(k, SEED_GRID)
     if sel == "g":
-        return k**3 + k + m**3 + m
+        return rate_split_pentagons(k, k, k)
     if sel == "g1":
-        return k**2 + 1 + m**2 + 1
+        return rate_split_pentagons(k, 1, k)
     if sel == "bcdms":
         return cfg.n_cov**3
     if sel == "co2":

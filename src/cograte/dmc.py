@@ -657,7 +657,7 @@ def random_search_region(
             f"(seed {seed}); the first bound never came out nonnegative"
         )
     return hull_of_slabs(
-        [(r1, r2, s)], n_directions,
+        (r1, r2, s), n_directions,
         provenance=f"{variant}-search(n={n_samples},seed={seed}"
                    + (",inner estimate of the DM outer bound)" if variant == "outer" else ")"),
     )

@@ -17,13 +17,13 @@ convex hulls of those pentagons over the grid.  The families are:
 All parameters are power splits in [0, 1]; alpha divides the cognitive
 power between its own message (alpha) and relaying the primary's (1-alpha).
 Every family hands its bounds to ``geometry.hull_of_slabs``: the one-parameter
-families as one slab, ``g`` and ``g1`` as a coarse seed slab (at most
-SEED_GRID points per parameter, ends included) and then slabs of whole
-alpha rows.  The seed's corner chain screens each row slab before the
-next is evaluated, so their memory is bounded by the seed, one slab and
-the pentagons that passed.  It also screens the row slabs before they are
-evaluated: each ga log argument is monotone in theta, so at each (alpha,
-beta) a block of consecutive thetas is bounded by its members' own float
+families as the seed, ``g`` and ``g1`` as a coarse seed (at most SEED_GRID
+points per parameter, ends included) and rows, a generator of slabs of
+whole alpha rows, whose memory is bounded by the seed, one slab and the
+pentagons that passed the seed's corner chain.  rows takes the block
+screen on that chain, to screen each row slab before it is evaluated:
+each ga log argument is monotone in theta, so at each (alpha, beta) a
+block of consecutive thetas is bounded by its members' own float
 expression at the block's two ends, and only the members of the blocks
 whose bounding pentagon may reach the chain are evaluated.
 """
@@ -263,21 +263,6 @@ def _unit_points(n: int) -> np.ndarray:
     return grid
 
 
-def _rate_split_bounds(ch: ChannelParams, alphas, betas, thetas):
-    """ga and gb bounds over the grid alphas x betas x thetas, as flat (r1, r2, s).
-
-    theta is irrelevant once alpha reaches 1 (no relayed power), so an
-    alpha=1 row is generated with a single theta to avoid duplicates.
-    """
-    parts = (
-        _ga_arrays(ch, alphas[alphas < 1.0][:, None, None], betas[None, :, None],
-                   thetas[None, None, :]),
-        _ga_arrays(ch, alphas[alphas == 1.0][:, None], betas[None, :], 0.0),
-        _gb_arrays(ch, alphas[:, None], betas[None, :]),
-    )
-    return _joined(*parts)
-
-
 def _joined(*parts):
     """The (r1, r2, s) of each part, flattened and joined in order."""
     flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
@@ -316,39 +301,60 @@ def _seed_points(grid: np.ndarray) -> np.ndarray:
     return grid[np.linspace(0, grid.size - 1, min(grid.size, SEED_GRID)).round().astype(int)]
 
 
-def _rate_split_slabs(ch: ChannelParams, alphas, betas, thetas):
-    """ga and gb bounds as (r1, r2, s) slabs of flat arrays: a seed, then whole alpha rows.
+def rate_split_pentagons(n_alpha: int, n_beta: int, n_theta: int) -> int:
+    """Pentagons the rate-splitting hull evaluates on these grids, empty or
+    not, when its block screen keeps every block: for the grid and its seed
+    sub-grid, ga over alpha < 1, its alpha=1 row at one theta, and gb."""
+    def count(na, nb, nt):
+        return nb * ((na - 1) * nt + 1 + na)
 
-    The seed slab is the sub-grid of _seed_points on each axis, so its
-    corner chain is already close to the hull and screens out most of
-    every later slab; its pentagons are taken from the same grid arrays, so
-    each is bit for bit a member of the family and the hull is unchanged.
-    Each later slab holds as many alpha rows as fit in _SLAB_PENTAGONS (at
-    least one), ga's pentagons with alpha < 1 first, then ga's alpha=1
-    row and gb.  The generator takes the screen that hull_of_slabs sends
-    for the next slab: with one, a row slab evaluates only the ga theta
-    blocks it keeps (_screened_ga); without, or once a slab's screen kept
-    too many blocks to pay, every pentagon of the grid.
-    """
-    screen = yield _rate_split_bounds(ch, *(_seed_points(g) for g in (alphas, betas, thetas)))
+    return count(n_alpha, n_beta, n_theta) + count(
+        *(min(n, SEED_GRID) for n in (n_alpha, n_beta, n_theta)))
+
+
+def _rate_split_slab(ch: ChannelParams, alphas, betas, thetas, gb, ga=None):
+    """ga and gb bounds over alphas x betas x thetas as flat (r1, r2, s):
+    ga's pentagons with alpha < 1 (or ga, those the block screen kept), its
+    alpha=1 row at one theta, as theta is irrelevant without relayed power,
+    then gb, the gb bounds of alphas x betas."""
+    full = alphas[alphas < 1.0]
+    if ga is None:
+        ga = _ga_arrays(ch, full[:, None, None], betas[None, :, None], thetas[None, None, :])
+    parts = [ga, gb]
+    if full.size < alphas.size:
+        parts.insert(1, _ga_arrays(ch, alphas[alphas == 1.0][:, None], betas[None, :], 0.0))
+    return _joined(*parts)
+
+
+def _rate_split_rows(ch: ChannelParams, alphas, betas, thetas, screen):
+    """The grid's bounds as _rate_split_slab slabs of as many whole alpha
+    rows as fit in _SLAB_PENTAGONS (at least one).  Each evaluates only the
+    ga theta blocks the block screen keeps (_screened_ga), until a slab's
+    screen keeps too many to pay: it and every later slab are evaluated whole."""
     rows = max(1, _SLAB_PENTAGONS // (betas.size * (thetas.size + 1)))
     # gb depends on (alpha, beta) alone: evaluated once, cut into the slabs
     gb = np.broadcast_arrays(*_gb_arrays(ch, alphas[:, None], betas[None, :]))
     screening = True
     for lo in range(0, alphas.size, rows):
         slab = alphas[lo:lo + rows]
-        full = slab[slab < 1.0]
-        ga = None
-        if screening and screen is not None:
-            ga = _screened_ga(ch, full, betas, thetas, screen)
-            screening = ga is not None
-        if ga is None:
-            ga = _ga_arrays(ch, full[:, None, None], betas[None, :, None], thetas[None, None, :])
-        parts = [ga, [v[lo:lo + rows] for v in gb]]
-        if full.size < slab.size:
-            # theta is irrelevant at alpha = 1, as in _rate_split_bounds
-            parts.insert(1, _ga_arrays(ch, slab[slab == 1.0][:, None], betas[None, :], 0.0))
-        screen = yield _joined(*parts)
+        ga = _screened_ga(ch, slab[slab < 1.0], betas, thetas, screen) if screening else None
+        screening = ga is not None
+        yield _rate_split_slab(ch, slab, betas, thetas, [v[lo:lo + rows] for v in gb], ga)
+
+
+def _rate_split_region(ch: ChannelParams, family: str, alphas, betas, thetas,
+                       n_directions: int) -> ConvexRegion:
+    """Hull of ga and gb over the grid, from the sub-grid of _seed_points on
+    each axis as its seed: its chain is close to the hull, so it screens out
+    most of every row slab, and each of its pentagons is evaluated as the
+    grid's own, so it is bit for bit a member and the hull is unchanged."""
+    seed = [_seed_points(g) for g in (alphas, betas, thetas)]
+    return hull_of_slabs(
+        _rate_split_slab(ch, *seed, _gb_arrays(ch, seed[0][:, None], seed[1][None, :])),
+        n_directions,
+        provenance=f"{family}(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
+        rows=functools.partial(_rate_split_rows, ch, alphas, betas, thetas),
+    )
 
 
 def g_region(
@@ -359,14 +365,8 @@ def g_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the full rate-splitting family: both coding orders, all splits."""
-    alphas = _unit_grid(n_alpha, "alpha")
-    betas = _unit_grid(n_beta, "beta")
-    thetas = _unit_grid(n_theta, "theta")
-    return hull_of_slabs(
-        _rate_split_slabs(ch, alphas, betas, thetas),
-        n_directions,
-        provenance=f"g(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
-    )
+    return _rate_split_region(ch, "g", _unit_grid(n_alpha, "alpha"), _unit_grid(n_beta, "beta"),
+                              _unit_grid(n_theta, "theta"), n_directions)
 
 
 def g1_region(
@@ -376,13 +376,8 @@ def g1_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the rate-splitting family without a common layer (beta = 0)."""
-    alphas = _unit_grid(n_alpha, "alpha")
-    thetas = _unit_grid(n_theta, "theta")
-    return hull_of_slabs(
-        _rate_split_slabs(ch, alphas, np.zeros(1), thetas),
-        n_directions,
-        provenance=f"g1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
-    )
+    return _rate_split_region(ch, "g1", _unit_grid(n_alpha, "alpha"), np.zeros(1),
+                              _unit_grid(n_theta, "theta"), n_directions)
 
 
 def g2_region(
@@ -393,7 +388,7 @@ def g2_region(
     """Hull of the superposition-only family."""
     alphas = _unit_grid(n_alpha, "alpha")
     return hull_of_slabs(
-        [_g2_arrays(ch, alphas)], n_directions,
+        _g2_arrays(ch, alphas), n_directions,
         provenance=f"g2(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -406,7 +401,7 @@ def g3p_region(
     """Hull of the precoded-common-message family at the optimal coefficient."""
     alphas = _unit_grid(n_alpha, "alpha")
     return hull_of_slabs(
-        [_g3p_arrays(ch, alphas)], n_directions,
+        _g3p_arrays(ch, alphas), n_directions,
         provenance=f"g3p(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -419,6 +414,6 @@ def capacity_region(
     """Hull of the two-constraint capacity pentagons over alpha."""
     alphas = _unit_grid(n_alpha, "alpha")
     return hull_of_slabs(
-        [_capacity_arrays(ch, alphas)], n_directions,
+        _capacity_arrays(ch, alphas), n_directions,
         provenance=f"capacity(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )

@@ -6,14 +6,14 @@ pointwise max of the member supports.  A pentagon's support in such a
 direction is attained at one of its two top corners, so the maximum is
 read off the convex chain of the top corners, one binary search per
 direction, within a few units in the last place of the max over every
-pentagon and exact on the axes.  Every hull is built by hull_of_slabs,
-which takes a union as slabs and screens each later slab by the corner
-chain of the first (Akl and Toussaint, IPL 1978), so only the first slab
-and what passes are held while the next slab is evaluated.  A generator
-of slabs is sent a block screen on that chain before each later slab: it
-bounds blocks of pentagons first and evaluates only the blocks whose
-bounding pentagon may reach the chain (_blocks_reaching), a sound bound
-per block in the sense of interval analysis (Moore, 1966).
+pentagon and exact on the axes.  Every hull is built by hull_of_slabs from
+a seed slab, which reaches the kernel whole, and optional rows: the seed's
+corner chain screens each slab of the rows (Akl and Toussaint, IPL 1978),
+so only the seed and what passes are held while the next is evaluated.
+The rows are given a block screen on that chain: they bound blocks of
+pentagons first and evaluate only the blocks whose bounding pentagon may
+reach the chain (_blocks_reaching), a sound bound per block in the sense
+of interval analysis (Moore, 1966).
 Every boundary polyline, of a hull or of an intersection of regions, is the
 intersection of the sampled halfplanes with the nonnegative quadrant, to
 within roundoff.  A hull's sampled halfplanes all touch the hull, so its
@@ -26,9 +26,10 @@ quadrant_directions(n); a region on that array skips the direction checks.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
@@ -431,79 +432,75 @@ def hull_of_union(
     n_directions: int = DEFAULT_DIRECTIONS,
     provenance: str = "",
 ) -> ConvexRegion:
-    """hull_of_slabs over the bounds of Pentagon objects, as one slab."""
+    """hull_of_slabs over the bounds of Pentagon objects, as the seed."""
     bounds = np.array(
         [(p.r1_max, p.r2_max, p.sum_max) for p in pentagons], dtype=float
     ).reshape(-1, 3)
-    return hull_of_slabs([bounds.T], n_directions, provenance)
+    return hull_of_slabs(bounds.T, n_directions, provenance)
+
+
+def _finite_bounds(slab, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slab k's (r1, r2, s) as flat float arrays (slab 0 is the seed);
+    ValueError with the slab's count when any is NaN or infinite."""
+    r1, r2, s = (np.asarray(v, dtype=float).ravel() for v in slab)
+    bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
+    if bad:
+        where = "the seed" if k == 0 else f"slab {k} after the seed"
+        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite in "
+                         f"{where}, the first slab that holds one (the count is that slab's)")
+    return r1, r2, s
 
 
 def hull_of_slabs(
-    slabs: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    seed: tuple[np.ndarray, np.ndarray, np.ndarray],
     n_directions: int = DEFAULT_DIRECTIONS,
     provenance: str = "",
+    rows: Callable[[Callable], Generator] | None = None,
 ) -> ConvexRegion:
     """Convex hull of a union of pentagons, sampled at n_directions directions.
 
-    The union arrives as (r1, r2, s) slabs of flat bound arrays, consumed one
-    at a time.  Bounds must be finite, as in Pentagon; ValueError names the
-    count of NaN or infinite bounds over all slabs.  Each slab drops its
-    empty pentagons (any negative bound).  The first slab with a non-empty
-    one reaches the kernel whole, and its corner chain, built once, screens
-    each later slab by _near_chain: a pentagon goes when neither top corner
-    passes, so a corner the kernel sees is at least as high in every unit
-    first-quadrant direction.  The box corner (min(r1, s), min(r2, s)) lies
-    at or above both top corners, so it screens the slab first, with the
-    empty mask.  The kept pentagons depend on how the union is cut into
-    slabs, but none that can attain the maximum is dropped, so the support
-    is the same float for every cut and order.
-    A generator of slabs is sent, for each slab after the first non-empty
-    one, the block screen: _blocks_reaching on that chain, which takes the
-    flat (r1, r2, s) bounds of blocks of pentagons not yet evaluated and
-    returns the mask of the blocks that may hold a pentagon the screen
-    keeps, so the generator evaluates only their members.  It is sent None
-    before that and once a bound is not finite, and then yields whole
-    slabs.  Any other iterable is read as it is.
-    Raises ValueError when no pentagon is non-empty.  The support at each
-    direction is the max of the member supports, to within a few units in
-    the last place of the largest bound (see support_max_over_pentagons).
+    The union arrives as the seed, one (r1, r2, s) triple of flat bound
+    arrays, and the slabs of the generator rows(screen), if rows is given,
+    consumed one at a time.  Bounds must be finite, as in Pentagon: the
+    first slab that holds a NaN or infinite one raises ValueError with its
+    count and closes the generator.  Each slab drops its empty pentagons
+    (any negative bound); ValueError is raised when the seed holds no other.
+    The seed reaches the kernel whole.  With rows, its corner chain is built
+    once and screens each later slab by _near_chain: a pentagon goes when
+    neither top corner passes, so a corner the kernel sees is at least as
+    high in every unit first-quadrant direction.  The box corner (min(r1, s),
+    min(r2, s)) lies at or above both top corners, so it screens the slab
+    first, with the empty mask.  The kept pentagons depend on how the union
+    is cut into slabs, but none that can attain the maximum is dropped, so
+    the support is the same float for every cut and order.  rows is called
+    once, with the block screen: _blocks_reaching on that chain, which maps
+    the flat (r1, r2, s) bounds of blocks of pentagons not yet evaluated to
+    the mask of those that may hold a pentagon the screen keeps.  The
+    support at each direction is the max of the member supports, to within
+    a few units in the last place of the largest bound (see
+    support_max_over_pentagons).
     """
-    slabs = iter(slabs)
-    # a generator is sent the block screen for its next slab
-    send = getattr(slabs, "send", None)
-    bad = 0
-    kept, chain, screen = [], None, None
-    while True:
-        try:
-            slab = next(slabs) if send is None else send(None if bad else screen)
-        except StopIteration:
-            break
-        r1, r2, s = (np.asarray(v, dtype=float).ravel() for v in slab)
-        bad += sum(int(np.count_nonzero(~np.isfinite(v))) for v in (r1, r2, s))
-        if bad:
-            continue
-        # an empty pentagon has no support, but the kernel's closed form
-        # would give it one, so it must not reach the kernel
-        live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
-        if kept and live.any():
-            if chain is None:
-                chain = _corner_chain(*_top_corners(*kept[0]))
-            live &= _near_chain(*chain, np.minimum(r1, s), np.minimum(r2, s))
-        # a slab with every pentagon live goes on as it is, uncopied
-        slab = [r1, r2, s] if live.all() else [v[live] for v in (r1, r2, s)]
-        if kept and slab[0].size:
-            near, n = _near_chain(*chain, *_top_corners(*slab)), slab[0].size
-            slab = [v[near[:n] | near[n:]] for v in slab]
-        if slab[0].size:
-            kept.append(slab)
-        if send is not None and kept and screen is None:
-            if chain is None:
-                chain = _corner_chain(*_top_corners(*kept[0]))
-            screen = functools.partial(_blocks_reaching, *chain)
-    if bad:
-        raise ValueError(f"pentagon bounds must be finite; {bad} are NaN or infinite")
-    if not kept:
-        raise ValueError("all pentagons are empty; nothing to hull")
+    r1, r2, s = _finite_bounds(seed, 0)
+    # an empty pentagon has no support, but the kernel's closed form
+    # would give it one, so it must not reach the kernel
+    live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
+    if not live.any():
+        raise ValueError("all pentagons are empty; nothing to hull" if rows is None else
+                         "all pentagons of the seed are empty; no chain screens the rows")
+    # a slab with every pentagon live goes on as it is, uncopied
+    kept = [[r1, r2, s] if live.all() else [v[live] for v in (r1, r2, s)]]
+    if rows is not None:
+        chain = _corner_chain(*_top_corners(*kept[0]))
+        with contextlib.closing(rows(functools.partial(_blocks_reaching, *chain))) as later:
+            for k, slab in enumerate(later, 1):
+                r1, r2, s = _finite_bounds(slab, k)
+                live = (r1 >= 0.0) & (r2 >= 0.0) & (s >= 0.0)
+                if live.any():
+                    live &= _near_chain(*chain, np.minimum(r1, s), np.minimum(r2, s))
+                slab = [r1, r2, s] if live.all() else [v[live] for v in (r1, r2, s)]
+                if slab[0].size:
+                    near, n = _near_chain(*chain, *_top_corners(*slab)), slab[0].size
+                    kept.append([v[near[:n] | near[n:]] for v in slab])
     r1, r2, s = kept[0] if len(kept) == 1 else (np.concatenate(v) for v in zip(*kept))
     dirs = quadrant_directions(n_directions)
     support = support_max_over_pentagons(r1, r2, s, dirs)

@@ -188,7 +188,7 @@ class TestBcdmsMaximalPentagons:
     def test_matches_the_hull_of_every_feasible_split(self, p1, p2, b, n_grid):
         ch = ChannelParams(p1, p2, b)
         reg = bcdms_region(ch, n_grid, 181)
-        ref = hull_of_slabs([_every_feasible_split(ch, n_grid)], 181)
+        ref = hull_of_slabs(_every_feasible_split(ch, n_grid), 181)
         assert np.abs(reg.support - ref.support).max() <= 2e-15
         assert reg.boundary.shape == ref.boundary.shape
         assert np.abs(reg.boundary - ref.boundary).max() <= 1e-12
@@ -205,7 +205,8 @@ class TestBcdmsMaximalPentagons:
         per_c_tot = list(zip(*(np.split(v, cuts) for v in (r1, r2, s))))
         assert len(per_c_tot) == n_grid
         reg = bcdms_region(ch, n_grid, 181)
-        streamed = hull_of_slabs(per_c_tot, 181)
+        streamed = hull_of_slabs(per_c_tot[0], 181,
+                                 rows=lambda screen: (slab for slab in per_c_tot[1:]))
         assert np.array_equal(reg.support, streamed.support)
         assert np.array_equal(reg.boundary, streamed.boundary)
 

@@ -166,14 +166,46 @@ class TestExitCodes:
             RunConfig(command="figure", p1=6, p2=6, b=2, figure="fig3", n_points=300)
 
     @pytest.mark.parametrize("k", [2, 5, 13])
-    def test_grid_guard_counts_every_pentagon_g_and_g1_evaluate(self, k):
-        # the seed sub-grid as well as the grid
+    def test_grid_guard_counts_every_pentagon_g_and_g1_evaluate(self, k, monkeypatch):
+        # the seed sub-grid as well as the grid, every row evaluated whole
         cfg = RunConfig(command="region", p1=6, p2=6, b=2, selections=("g", "g1"),
                         n_points=k)
-        grid = np.linspace(0.0, 1.0, k)
-        for sel, betas in (("g", grid), ("g1", np.zeros(1))):
-            slabs = gaussian._rate_split_slabs(ChannelParams(6, 6, 2), grid, betas, grid)
-            assert cli._pentagon_count(sel, cfg) == sum(r1.size for r1, _, _ in slabs)
+        evaluated = []
+        hull = gaussian.hull_of_slabs
+
+        def counted(seed, *args, rows, **kwargs):
+            evaluated.append(seed[0].size + sum(r1.size for r1, _, _ in rows(None)))
+            return hull(seed, *args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "_screened_ga", lambda *args: None)
+        monkeypatch.setattr(gaussian, "hull_of_slabs", counted)
+        for sel in cfg.selections:
+            cli.build_region(sel, ChannelParams(6, 6, 2), cfg)
+        assert evaluated == [cli._pentagon_count(sel, cfg) for sel in cfg.selections]
+
+    @pytest.mark.parametrize("argv", [["region", "--select", "g2"],
+                                      ["compare", "--select", "g2,g3p"],
+                                      ["figure", "fig2"]],
+                             ids=["region", "compare", "figure"])
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_output_that_is_not_a_directory_is_usage_error(self, argv, under, tmp_path,
+                                                           monkeypatch, capsys):
+        def built(*args, **kwargs):
+            raise AssertionError("a region was built")
+
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        monkeypatch.setattr(cli, "build_region", built)
+        code = main([*argv, "--output", str(taken / "out" if under else taken), *SMALL])
+        assert code == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    def test_capacity_check_writes_no_file_so_takes_any_output(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["capacity-check", "--output", str(taken / "out"), *SMALL]) == 0
+        assert "gap_bits" in capsys.readouterr().out
 
     def test_one_parameter_families_are_bounded_by_pentagons_alone(self, tmp_path, capsys):
         # the support maximum is O(P log P + D), so points x directions

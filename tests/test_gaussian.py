@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,7 +296,7 @@ class TestRegionBuilders:
         lam_hi = np.array([4.0 * lambda_opt(ch, a) + 1.0 for a in alphas])
         lams = lam_hi[:, None] * np.linspace(0.0, 1.0, 51)[None, :]
         bounds = np.broadcast_arrays(*gaussian._g3_arrays(ch, alphas[:, None], lams))
-        sweep = hull_of_slabs([bounds], n_directions=181)
+        sweep = hull_of_slabs(bounds, n_directions=181)
         base = g3p_region(ch, n_alpha=51, n_directions=181)
         assert subset_within(base, sweep, tol=1e-3).is_subset
 
@@ -315,6 +316,23 @@ def _every_rate_split_pentagon(ch, alphas, betas, thetas):
     )
     flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
     return [np.concatenate(bounds) for bounds in zip(*flat)]
+
+
+def _unscreened_slabs(ch, alphas, betas, thetas):
+    """The seed and the row slabs of the rate-splitting hull over the grid,
+    every row evaluated whole."""
+    seed = _every_rate_split_pentagon(
+        ch, *(gaussian._seed_points(g) for g in (alphas, betas, thetas)))
+    with pytest.MonkeyPatch.context() as mp:
+        # as when the first row slab's screen keeps too many blocks to pay
+        mp.setattr(gaussian, "_screened_ga", lambda *args: None)
+        return [seed, *gaussian._rate_split_rows(ch, alphas, betas, thetas, None)]
+
+
+def _sliced(slabs, n_directions=181):
+    """hull_of_slabs with the first slab as its seed and the others as its rows."""
+    seed, *rest = slabs
+    return hull_of_slabs(seed, n_directions, rows=lambda screen: (slab for slab in rest))
 
 
 def _family_triples(bounds):
@@ -342,23 +360,17 @@ class TestRateSplitSlabs:
         alphas, betas, thetas = (np.linspace(0.0, 1.0, n) for n in (na, nb, nt))
         slabs_seen = []
 
-        def recorded(slabs, *args, **kwargs):
-            seen = []
+        def recorded(seed, *args, rows, **kwargs):
+            seen = [seed]
             slabs_seen.append(seen)
 
-            def forwarded():
-                # hands on each screen hull_of_slabs sends, as the family's
-                # own generator would receive it
-                screen = None
-                while True:
-                    try:
-                        slab = slabs.send(screen)
-                    except StopIteration:
-                        return
+            def rows_seen(screen):
+                # each slab of the family's own generator, as hull_of_slabs takes it
+                for slab in rows(screen):
                     seen.append(slab)
-                    screen = yield slab
+                    yield slab
 
-            return hull(forwarded(), *args, **kwargs)
+            return hull(seed, *args, rows=rows_seen, **kwargs)
 
         hull = gaussian.hull_of_slabs
         monkeypatch.setattr(gaussian, "hull_of_slabs", recorded)
@@ -367,10 +379,10 @@ class TestRateSplitSlabs:
         # two alpha rows per slab: 12 slabs, the last one holding alpha=1 only
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * nb * (nt + 1))
         g = g_region(ch, na, nb, nt, 181)
-        raw_g = list(gaussian._rate_split_slabs(ch, alphas, betas, thetas))
+        raw_g = _unscreened_slabs(ch, alphas, betas, thetas)
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 2 * (nt + 1))
         g1 = g1_region(ch, na, nt, 181)
-        raw_g1 = list(gaussian._rate_split_slabs(ch, alphas, np.zeros(1), thetas))
+        raw_g1 = _unscreened_slabs(ch, alphas, np.zeros(1), thetas)
         assert len(slabs_seen) == 2
         # the seed: 11 of the 23 alphas and 41 thetas, indices 2.2 and 4
         # apart and rounded, and every beta, as there are at most SEED_GRID
@@ -396,8 +408,7 @@ class TestRateSplitSlabs:
         if p2 > 0.0:
             assert dropped > 0
         for region, bt in ((g, betas), (g1, np.zeros(1))):
-            one_shot = hull_of_slabs(
-                [_every_rate_split_pentagon(ch, alphas, bt, thetas)], 181)
+            one_shot = hull_of_slabs(_every_rate_split_pentagon(ch, alphas, bt, thetas), 181)
             assert np.array_equal(region.support, one_shot.support)
             assert np.array_equal(region.boundary, one_shot.boundary)
 
@@ -406,9 +417,9 @@ class TestRateSplitSlabs:
         # each slab after the seed is screened by the seed's chain
         ch = ChannelParams(6.0, 6.0, b)
         grid = np.linspace(0.0, 1.0, 31)
-        one_slab = hull_of_slabs([_every_rate_split_pentagon(ch, grid, grid, grid)])
+        one_slab = hull_of_slabs(_every_rate_split_pentagon(ch, grid, grid, grid))
         monkeypatch.setattr(gaussian, "_SLAB_PENTAGONS", 4 * 31 * 32)
-        assert len(list(gaussian._rate_split_slabs(ch, grid, grid, grid))) == 1 + 8
+        assert len(_unscreened_slabs(ch, grid, grid, grid)) == 1 + 8
         sliced = g_region(ch, 31, 31, 31)
         assert np.array_equal(sliced.support, one_slab.support)
         assert np.array_equal(sliced.boundary, one_slab.boundary)
@@ -423,12 +434,31 @@ class TestRateSplitSlabs:
         assert pts[0] == 0.0 and pts[-1] == 1.0 and np.all(np.diff(pts) > 0.0)
         for betas, region in ((grid, g_region(ch, n, n, n)),
                               (np.zeros(1), g1_region(ch, n, n))):
-            seed, *rows = gaussian._rate_split_slabs(ch, grid, betas, grid)
+            seed, *rows = _unscreened_slabs(ch, grid, betas, grid)
             assert _family_triples(seed) <= _family_triples(
                 [np.concatenate(v) for v in zip(*rows)])
-            without = hull_of_slabs(rows)
+            without = _sliced(rows, 721)
             assert np.array_equal(region.support, without.support)
             assert np.array_equal(region.boundary, without.boundary)
+
+    @pytest.mark.parametrize("family, n", [("g", 11), ("g1", 21)])
+    def test_non_finite_count_never_exceeds_the_familys(self, family, n):
+        # the received powers overflow, and the seed, whose pentagons are
+        # also the grid's, is refused with its own count: 2,660 of the
+        # family's 2,660 for g, 240 of 880 for g1
+        ch = ChannelParams(1e160, 1.0, 1e80)
+        grid = np.linspace(0.0, 1.0, n)
+        betas = grid if family == "g" else np.zeros(1)
+        with np.errstate(all="ignore"):
+            own = sum(int(np.count_nonzero(~np.isfinite(v)))
+                      for v in _every_rate_split_pentagon(ch, grid, betas, grid))
+            with pytest.raises(ValueError, match="NaN or infinite in the seed") as err:
+                if family == "g":
+                    g_region(ch, n, n, n, 181)
+                else:
+                    g1_region(ch, n, n, 181)
+        reported = int(re.search(r"(\d+) are NaN or infinite", str(err.value)).group(1))
+        assert 0 < reported <= own
 
     def test_screen_chain_is_built_once(self, monkeypatch):
         # once from the seed slab for the screen, once in the kernel; a
@@ -566,8 +596,8 @@ class TestBlockScreen:
             build = ((lambda: g_region(ch, n, n, n, 181)) if family == "g"
                      else (lambda: g1_region(ch, n, n, 181)))
             screened, region = _kernel_input(monkeypatch, build)
-            whole, unscreened = _kernel_input(monkeypatch, lambda: hull_of_slabs(
-                list(gaussian._rate_split_slabs(ch, grid, betas, grid)), 181))
+            whole, unscreened = _kernel_input(
+                monkeypatch, lambda: _sliced(_unscreened_slabs(ch, grid, betas, grid)))
             assert all(np.array_equal(a, b) for a, b in zip(screened, whole)), n
             assert np.array_equal(region.support, unscreened.support)
             assert np.array_equal(region.boundary, unscreened.boundary)
@@ -577,8 +607,8 @@ class TestBlockScreen:
         ch = ChannelParams(*p)
         grid = np.linspace(0.0, 1.0, 37)
         screened, _ = _kernel_input(monkeypatch, lambda: g_region(ch, 37, 37, 37, 181))
-        whole, _ = _kernel_input(monkeypatch, lambda: hull_of_slabs(
-            list(gaussian._rate_split_slabs(ch, grid, grid, grid)), 181))
+        whole, _ = _kernel_input(
+            monkeypatch, lambda: _sliced(_unscreened_slabs(ch, grid, grid, grid)))
         assert all(np.array_equal(a, b) for a, b in zip(screened, whole))
 
     @pytest.mark.parametrize("p2, b, screened", [(0.0, 2.0, 1), (0.0, 3.0, 1),
@@ -601,8 +631,8 @@ class TestBlockScreen:
         assert len(shares) == screened
         assert (max(shares) > gaussian._SCREEN_KEEP_MAX) == (screened == 1)
         grid = np.linspace(0.0, 1.0, 101)
-        whole, unscreened = _kernel_input(monkeypatch, lambda: hull_of_slabs(
-            list(gaussian._rate_split_slabs(ch, grid, grid, grid)), 181))
+        whole, unscreened = _kernel_input(
+            monkeypatch, lambda: _sliced(_unscreened_slabs(ch, grid, grid, grid)))
         assert all(np.array_equal(x, y) for x, y in zip(got, whole))
         assert np.array_equal(region.boundary, unscreened.boundary)
 

@@ -36,6 +36,19 @@ def _hull(*pentagons, n=721):
     return hull_of_union(list(pentagons), n_directions=n)
 
 
+def _sliced(slabs, n=181, taken=None):
+    """hull_of_slabs with the first slab as its seed and the others as its
+    rows; taken, when given, records each screen rows is called with."""
+    seed, *rest = slabs
+
+    def rows(screen):
+        if taken is not None:
+            taken.append(screen)
+        return (slab for slab in rest)
+
+    return hull_of_slabs(seed, n, rows=rows)
+
+
 class TestQuadrantDirections:
     def test_endpoints_and_count(self):
         d = quadrant_directions(721)
@@ -174,7 +187,7 @@ class TestPentagonSupport:
                  for i in range(a.size)],
                 axis=0,
             )
-            pruned = hull_of_slabs([(a, b, c)], dirs.shape[0]).support
+            pruned = hull_of_slabs((a, b, c), dirs.shape[0]).support
             assert np.array_equal(pruned, single)
 
     def test_prune_drops_only_pentagons_beaten_beyond_tolerance(self, monkeypatch):
@@ -206,9 +219,8 @@ class TestPentagonSupport:
         assert np.array_equal(support_max_over_pentagons(*twice, dirs), ref)
         cuts = [0, 1, 250, 499, 500, 700]
         slabs = [(a[i:j], b[i:j], c[i:j]) for i, j in zip(cuts, cuts[1:])]
-        assert np.array_equal(hull_of_slabs(slabs, 181).support,
-                              hull_of_slabs([(a, b, c)], 181).support)
-        assert np.array_equal(hull_of_slabs([(a, b, c)], 181).support, ref)
+        assert np.array_equal(_sliced(slabs).support, hull_of_slabs((a, b, c), 181).support)
+        assert np.array_equal(hull_of_slabs((a, b, c), 181).support, ref)
 
 
 def _broadcast_support(r1, r2, s, dirs):
@@ -311,11 +323,13 @@ def test_sliced_hull_matches_the_one_slab_hull_bit_for_bit(n_directions):
     # repeats and corners a few ulps apart must reach the kernel across slabs
     rng = np.random.default_rng(43)
     for name, r1, r2, s in _kernel_families():
-        ref = hull_of_slabs([(r1, r2, s)], n_directions).support
+        ref = hull_of_slabs((r1, r2, s), n_directions).support
         for order in (np.arange(r1.size), rng.permutation(r1.size)):
             cuts = np.sort(rng.integers(0, r1.size + 1, rng.integers(1, 9)))
-            slabs = [np.split(v[order], cuts) for v in (r1, r2, s)]
-            got = hull_of_slabs(zip(*slabs), n_directions).support
+            slabs = list(zip(*(np.split(v[order], cuts) for v in (r1, r2, s))))
+            # the seed is the first slab that is not of size 0
+            first = next(i for i, slab in enumerate(slabs) if slab[0].size)
+            got = _sliced(slabs[first:], n_directions).support
             assert np.array_equal(got, ref), name
 
 
@@ -506,8 +520,8 @@ class TestHullOfUnion:
         assert np.array_equal(reg.support, ref.support)
 
     def test_non_finite_bounds_rejected(self):
-        with pytest.raises(ValueError, match="2 are NaN or infinite"):
-            hull_of_slabs([([1.0, np.nan, 1.0], [1.0, 1.0, 1.0], [1.5, 1.5, np.inf])])
+        with pytest.raises(ValueError, match="2 are NaN or infinite in the seed"):
+            hull_of_slabs(([1.0, np.nan, 1.0], [1.0, 1.0, 1.0], [1.5, 1.5, np.inf]))
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -548,7 +562,7 @@ def _kernel_input(monkeypatch, slabs, n_directions=181):
         return support_max_over_pentagons(r1, r2, s, dirs)
 
     monkeypatch.setattr(geometry, "support_max_over_pentagons", recorded)
-    reg = hull_of_slabs(slabs, n_directions)
+    reg = _sliced(slabs, n_directions)
     (bounds,) = seen
     return reg, bounds
 
@@ -562,16 +576,39 @@ class TestSlabPrune:
             assert bounds == ([1.0], [1.0], [1.5])
             assert np.array_equal(reg.support, _hull(Pentagon(1.0, 1.0, 1.5), n=181).support)
 
-    def test_non_finite_bounds_are_counted_over_all_slabs(self):
-        slabs = [([1.0, np.nan], [1.0, 1.0], [1.5, 1.5]),
-                 ([1.0], [np.inf], [np.nan])]
-        with pytest.raises(ValueError, match="3 are NaN or infinite"):
-            hull_of_slabs(slabs)
+    def test_non_finite_bounds_are_refused_at_the_first_slab_that_holds_one(self):
+        # each count is that slab's; the slabs after it are not taken, and
+        # the rows generator is closed
+        finite = ([1.0], [1.0], [1.5])
+        taken, closed = [], []
+
+        def rows(screen):
+            try:
+                for slab in (finite, ([1.0, np.nan], [np.inf, 1.0], [1.5, 1.5]),
+                             ([np.nan], [np.nan], [np.nan])):
+                    taken.append(slab)
+                    yield slab
+            finally:
+                closed.append(True)
+
+        with pytest.raises(ValueError, match="1 are NaN or infinite in the seed"):
+            _sliced([([1.0, np.nan], [1.0, 1.0], [1.5, 1.5]), ([1.0], [np.inf], [np.nan])])
+        with pytest.raises(ValueError, match="2 are NaN or infinite in slab 2 after the seed"):
+            try:
+                hull_of_slabs(finite, rows=rows)
+            finally:
+                # closed as the error leaves, while its traceback still
+                # holds the generator
+                assert len(taken) == 2 and closed == [True]
 
     def test_all_slabs_empty_rejected(self):
-        slabs = [([-1.0], [1.0], [1.0]), ([1.0], [-1.0], [1.0])]
         with pytest.raises(ValueError, match="all pentagons are empty"):
-            hull_of_slabs(slabs)
+            hull_of_slabs(([-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]))
+        # with rows, an empty seed is refused, however many rows would follow
+        taken = []
+        with pytest.raises(ValueError, match="all pentagons of the seed are empty"):
+            _sliced([([-1.0], [1.0], [1.0]), ([1.0], [1.0], [1.5])], taken=taken)
+        assert taken == []
 
     @pytest.mark.parametrize("cuts", [[0, 7, 1000, 1001, 2500, 3000],
                                       [0, 1, 2, 3, 3000],
@@ -666,27 +703,40 @@ class TestSlabPrune:
         slab = ([1.0, 0.5], [0.5, 1.0], [1.2, 1.2])
         zero = ([], [], [])
         one, one_bounds = _kernel_input(monkeypatch, [slab])
-        mixed, mixed_bounds = _kernel_input(monkeypatch, [zero, slab, zero])
+        mixed, mixed_bounds = _kernel_input(monkeypatch, [slab, zero, zero])
         assert mixed_bounds == one_bounds
         assert np.array_equal(mixed.support, one.support)
         with pytest.raises(ValueError, match="all pentagons are empty"):
-            hull_of_slabs([zero, zero])
+            hull_of_slabs(zero)
+        with pytest.raises(ValueError, match="all pentagons of the seed are empty"):
+            _sliced([zero, slab])
 
-    def test_one_shot_generator_is_consumed_once(self):
+    def test_rows_is_called_once_with_the_screen_after_the_seed_chain(self, monkeypatch):
         rng = np.random.default_rng(9)
         r1, r2 = rng.uniform(0.0, 2.0, (2, 300))
         s = rng.uniform(0.5, 1.0, 300) * (r1 + r2)
         slabs = [(r1[a:a + 50], r2[a:a + 50], s[a:a + 50]) for a in range(0, 300, 50)]
-        taken = []
+        chains, calls, taken = [], [], []
+        chain = geometry._corner_chain
 
-        def generate():
-            for slab in slabs:
+        def counted(x, y):
+            chains.append(x.size)
+            return chain(x, y)
+
+        def rows(screen):
+            # the seed's chain comes first: its 50 pentagons' 100 corners
+            calls.append((screen, list(chains)))
+            for slab in slabs[1:]:
                 taken.append(len(slab[0]))
                 yield slab
 
-        reg = hull_of_slabs(generate(), 181)
-        assert taken == [50] * 6
-        assert np.array_equal(reg.support, hull_of_slabs([(r1, r2, s)], 181).support)
+        monkeypatch.setattr(geometry, "_corner_chain", counted)
+        reg = hull_of_slabs(slabs[0], 181, rows=rows)
+        ((screen, before),) = calls
+        assert callable(screen) and before == [100]
+        assert taken == [50] * 5
+        monkeypatch.undo()
+        assert np.array_equal(reg.support, hull_of_slabs((r1, r2, s), 181).support)
 
 
 class TestBlockScreen:
@@ -748,25 +798,23 @@ class TestBlockScreen:
                 assert not near.any()
         assert dropped > 1000
 
-    def test_a_generator_is_sent_the_screen_after_its_first_kept_slab(self):
-        sent = []
-
-        def family(slabs):
-            for slab in slabs:
-                sent.append((yield slab))
-
-        hull_of_slabs(family([([-1.0], [1.0], [1.0]),                 # all empty
-                              ([2.0, 0.0], [0.0, 2.0], [10.0, 10.0]),  # chain x + y = 2
-                              ([0.5], [0.5], [10.0])]), 181)
-        assert sent[0] is None and callable(sent[1]) and sent[2] is sent[1]
-        keep = sent[1](np.array([0.5, 1.5]), np.array([0.5, 1.5]), np.array([10.0, 10.0]))
+    def test_rows_gets_the_block_screen_on_the_seeds_chain(self):
+        # the seed's chain is x + y = 2 with an empty pentagon beside it
+        taken = []
+        seed = ([2.0, 0.0, -1.0], [0.0, 2.0, 5.0], [10.0, 10.0, 10.0])
+        _sliced([seed, ([0.5], [0.5], [10.0])], taken=taken)
+        (screen,) = taken
+        keep = screen(np.array([0.5, 1.5]), np.array([0.5, 1.5]), np.array([10.0, 10.0]))
         assert keep.tolist() == [False, True]
-        # once a bound is not finite, the rest come unscreened
-        sent.clear()
-        with pytest.raises(ValueError, match="1 are NaN or infinite"):
-            hull_of_slabs(family([([1.0], [1.0], [1.5]), ([np.inf], [1.0], [1.5]),
-                                  ([1.0], [1.0], [1.5])]))
-        assert callable(sent[0]) and sent[1:] == [None, None]
+
+    def test_rows_is_never_called_when_the_seed_is_refused(self):
+        taken = []
+        for seed, match in ((([np.inf], [1.0], [1.5]), "1 are NaN or infinite in the seed"),
+                            (([-1.0], [1.0], [1.0]), "all pentagons of the seed are empty"),
+                            (([], [], []), "all pentagons of the seed are empty")):
+            with pytest.raises(ValueError, match=match):
+                _sliced([seed, ([1.0], [1.0], [1.5])], taken=taken)
+        assert taken == []
 
 
 def _stack_envelope(dirs, support):
@@ -884,7 +932,7 @@ def _random_hull(rng, n, scale):
     k = int(rng.integers(1, 5))
     r1, r2 = scale * rng.uniform(0.0, 1.0, k), scale * rng.uniform(0.0, 1.0, k)
     s = np.maximum(r1, r2) + rng.uniform(0.0, 1.0, k) * np.minimum(r1, r2)
-    return hull_of_slabs([(r1, r2, s)], n)
+    return hull_of_slabs((r1, r2, s), n)
 
 
 def _merge_pairs():
