@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import DEFAULT_GRID, _unit_grid
+from .gaussian import DEFAULT_GRID, _unit_grid, check_pentagon_budget
 from .geometry import ConvexRegion, DEFAULT_DIRECTIONS, hull_of_slabs, intersect
 from .model import ChannelParams, Pentagon
 
@@ -65,7 +65,7 @@ def co1_region(
 ) -> ConvexRegion:
     """Hull of the co1 pentagons over a uniform rho grid."""
     return hull_of_slabs(
-        _co1_arrays(ch, _unit_grid(n_rho, "rho")), n_directions,
+        _co1_arrays(ch, _unit_grid(n_rho, "rho", "co1")), n_directions,
         provenance=f"co1(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
     )
 
@@ -154,6 +154,9 @@ def bcdms_region(
     """Hull of the broadcast-channel bound over a PSD-filtered covariance-split grid."""
     if n_grid < 2:
         raise ValueError(f"covariance grid needs at least 2 points, got {n_grid}")
+    # about the entries the run search reads: one PSD test per (c_tot,
+    # p1_priv, p2_priv); in a Python int, as a numpy integer would wrap
+    check_pentagon_budget("bcdms", int(n_grid) ** 3)
     return hull_of_slabs(
         _bcdms_slab(ch, n_grid),
         n_directions,

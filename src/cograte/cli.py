@@ -14,8 +14,9 @@ family g, 41 per covariance dimension), 721 hull directions.  Tolerances:
 strict-inclusion claims; both are grid-limited, not exact arithmetic.
 Regions are built one after another, each once per channel: co2
 intersects the command's own co1 and bcdms when they are selected too.
-An invocation whose largest region would evaluate more than MAX_PENTAGONS
-pentagons is refused as a usage error before anything is allocated.
+A channel, tolerance, grid (gaussian.MAX_PENTAGONS) or direction count
+(geometry.MAX_DIRECTIONS) the library refuses is refused by its own check
+as a usage error, before anything is allocated.
 File names print each number by {:g} when that reads back as the same
 float, else by repr.  A JSON report's vertex blocks are formatted by one
 "%.9g" pair template, with json's encoder as the fallback for values
@@ -27,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -40,6 +40,7 @@ from .gaussian import (
     DEFAULT_GRID,
     b_star,
     capacity_region,
+    check_pentagon_budget,
     g1_region,
     g2_region,
     g3p_region,
@@ -51,9 +52,10 @@ from .geometry import (
     ConvexRegion,
     DEFAULT_DIRECTIONS,
     directed_gap,
+    quadrant_directions,
     subset_within,
 )
-from .model import ChannelParams
+from .model import ChannelParams, require_nonnegative
 
 SELECTIONS = ("g", "g1", "g2", "g3p", "capacity", "co1", "bcdms", "co2")
 FORMATS = ("csv", "json", "svg")
@@ -71,30 +73,6 @@ TOL_CLAIM = 5e-3
 #: conventionally quoted to 4 decimals, so the quoted value may sit a hair
 #: above the exact root.
 REGIME_TOL = 5e-5
-
-#: Most pentagons one region may evaluate.  g is evaluated and screened in
-#: slabs, and bcdms keeps one maximal pentagon per (p1_priv, c_tot) of its
-#: grid, so for them this bounds work, not memory.  g at --points 201
-#: (8,122,144 with its seed sub-grid), g at 203 (the largest that fits)
-#: and every default fit; g at 201 or 203 takes 0.17-0.25 s in process
-#: (b of 1, 1.3628 and 3.3628; 0.32-0.55 s without the block screen, timed
-#: alongside), and about 0.35 s and a 40 MB peak for the whole command on
-#: a 2-vCPU host.  The budget still counts the whole grid, although the
-#: block screen evaluates only part of it on most channels: at P2 = 0,
-#: b = 1 it drops no block, and g --p2 0 --points 203 takes about 8 s and
-#: a 1.9 GB peak on that host.  bcdms counts as n_cov**3, about the
-#: entries its run search reads (one PSD test per (p1_priv, p2_priv,
-#: c_tot)), which admits --cov-points up to 203 (bcdms or co2 at 203
-#: points: about 0.2 s and a 39 MB peak on that host).  A one-parameter
-#: family keeps its pentagons whole, and its support maximum is
-#: O(P log P + D), so this bounds it alone: capacity at P2 = 0 with
-#: 8,000,000 points and 4097 directions takes about 8 s and a 1.9 GB peak
-#: on that host.
-MAX_PENTAGONS = 2**23
-
-#: Most support directions D.  An envelope has at most D + 2 vertices, and the
-#: vertices x directions products of boundary checks peak near 16*D**2 bytes.
-MAX_DIRECTIONS = 4097
 
 #: Figure presets: selections, interference gains, (p1, p2).
 FIGURES = {
@@ -140,12 +118,12 @@ class RunConfig:
             object.__setattr__(self, "selections", FIGURES[self.figure][0])
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; choose from {FORMATS}")
-        checked = [("p1", self.p1), ("p2", self.p2), ("b", self.b), ("tol", self.tol)]
-        for name, v in checked + [("b", g) for g in self.b_list]:
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
-        for gain in (self.b, *self.b_list):
-            _check_received_power(self.p1, self.p2, gain)
+        channels = [ChannelParams(self.p1, self.p2, gain) for gain in (self.b, *self.b_list)]
+        # the command runs on the values its channels hold (-0 is 0)
+        for name in ("p1", "p2", "b"):
+            object.__setattr__(self, name, getattr(channels[0], name))
+        object.__setattr__(self, "b_list", tuple(ch.b for ch in channels[1:]))
+        object.__setattr__(self, "tol", require_nonnegative("tol", self.tol))
         # figure files are named by their gain, so a gain given twice
         # would overwrite its own curves
         for i, gain in enumerate(self.b_list):
@@ -157,9 +135,7 @@ class RunConfig:
             raise ValueError("grids need at least 2 points")
         if self.n_cov < 2:
             raise ValueError("covariance grids need at least 2 points")
-        if not 3 <= self.n_directions <= MAX_DIRECTIONS:
-            raise ValueError(
-                f"need 3 to {MAX_DIRECTIONS} hull directions, got {self.n_directions}")
+        quadrant_directions(self.n_directions)
         for s in self.selections:
             if s not in SELECTIONS:
                 raise ValueError(
@@ -177,34 +153,7 @@ class RunConfig:
         if self.command != "capacity-check" and not os.path.isdir(head):
             raise ValueError(f"--output {self.output!r} is not a directory: {head!r} is a file")
         for sel in self.selections:
-            count = _pentagon_count(sel, self)
-            if count > MAX_PENTAGONS:
-                raise ValueError(
-                    f"region {sel!r} would evaluate {count} pentagons, more than "
-                    f"{MAX_PENTAGONS}; lower --points or --cov-points"
-                )
-
-
-def _check_received_power(p1: float, p2: float, b: float) -> None:
-    """Refuse gains and powers for which a region family would overflow a float.
-
-    Past b*b, b*b*p1 and the received total, the largest products the
-    families form are own*relayed <= p1**2/4 (g3p) and (c_tot - c_priv)**2
-    <= 4*p1*p2 (bcdms; co1 takes sqrt(p1*p2)); g3p's r2 argument is a sum
-    of squares no larger than 1 + p1/4 + total.  Since total >= p2 + 1,
-    8*(1 + p1)*max(p1, total) bounds each of them with a factor of at least
-    2 to spare for roundoff, so no family overflows when it is finite.
-    """
-    b2 = b * b
-    amplitude = b * math.sqrt(p1) + math.sqrt(p2)
-    total = amplitude * amplitude + b2 * p1 + 1.0
-    largest = 8.0 * (1.0 + p1) * max(p1, total)
-    if not all(math.isfinite(v) for v in (b2, b2 * p1, total, largest)):
-        raise ValueError(
-            f"received power overflows at p1={p1:g}, p2={p2:g}, b={b:g}: b*b, "
-            f"b*b*p1, total = (b*sqrt(p1) + sqrt(p2))**2 + b*b*p1 + 1 and "
-            f"8*(1 + p1)*max(p1, total) must be finite"
-        )
+            check_pentagon_budget(sel, _pentagon_count(sel, self))
 
 
 def _points(sel: str, cfg: RunConfig) -> int:

@@ -44,6 +44,19 @@ DEFAULT_GRID = 201
 #: CLI's for g): 101**3 is about 1M pentagons, 201**3 would be 8.1M.
 DEFAULT_G_GRID = 101
 
+#: Most pentagons one region may evaluate, empty or not; every family
+#: refuses a larger grid (check_pentagon_budget) before it evaluates any.
+#: A one-parameter family keeps its pentagons whole and its support max is
+#: O(P log P + D), so this bounds it alone: capacity at P2 = 0, 8,000,000
+#: points and 4097 directions takes about 8 s and a 1.9 GB peak on a 2-vCPU
+#: host.  For g, evaluated and screened in slabs, and bcdms, which keeps one
+#: pentagon per (p1_priv, c_tot), it bounds work.  g counts its whole grid
+#: and seed, though the block screen drops most of it on most channels, but
+#: none at P2 = 0, b = 1, where g at 203 points, the most that fit, takes
+#: about 8 s and 1.9 GB.  bcdms counts n_grid**3, about the entries its run
+#: search reads.
+MAX_PENTAGONS = 2**23
+
 #: Most pentagons one slab of the rate-splitting family holds: the family
 #: is evaluated and screened slab by slab, so this bounds its memory.  At
 #: 2**16 glibc hands the slabs' freed temporaries back to the system and
@@ -249,10 +262,19 @@ def b_condition(ch: ChannelParams, alpha: float) -> float:
     return float(np.sqrt((ch.p1 + ch.p2 + a * ch.p1 * ch.p2 + 1.0) / (ch.p1 + 1.0)))
 
 
-def _unit_grid(n: int, name: str) -> np.ndarray:
-    """n points uniform over [0, 1], shared by every caller, so read-only."""
+def check_pentagon_budget(family: str, count: int) -> None:
+    """ValueError when family's grid would evaluate more than MAX_PENTAGONS pentagons."""
+    if count > MAX_PENTAGONS:
+        raise ValueError(f"region {family!r} would evaluate {count} pentagons, more than "
+                         f"{MAX_PENTAGONS}; use fewer grid points")
+
+
+def _unit_grid(n: int, name: str, family: str) -> np.ndarray:
+    """n points uniform over [0, 1], one pentagon each in a one-parameter
+    family, so held to its budget first; shared by every caller, so read-only."""
     if n < 2:
         raise ValueError(f"{name} grid needs at least 2 points, got {n}")
+    check_pentagon_budget(family, n)
     return _unit_points(n)
 
 
@@ -308,6 +330,8 @@ def rate_split_pentagons(n_alpha: int, n_beta: int, n_theta: int) -> int:
     def count(na, nb, nt):
         return nb * ((na - 1) * nt + 1 + na)
 
+    # in Python ints, as numpy integers would wrap past 2**63
+    n_alpha, n_beta, n_theta = int(n_alpha), int(n_beta), int(n_theta)
     return count(n_alpha, n_beta, n_theta) + count(
         *(min(n, SEED_GRID) for n in (n_alpha, n_beta, n_theta)))
 
@@ -342,12 +366,16 @@ def _rate_split_rows(ch: ChannelParams, alphas, betas, thetas, screen):
         yield _rate_split_slab(ch, slab, betas, thetas, [v[lo:lo + rows] for v in gb], ga)
 
 
-def _rate_split_region(ch: ChannelParams, family: str, alphas, betas, thetas,
-                       n_directions: int) -> ConvexRegion:
-    """Hull of ga and gb over the grid, from the sub-grid of _seed_points on
-    each axis as its seed: its chain is close to the hull, so it screens out
+def _rate_split_region(ch: ChannelParams, family: str, n_alpha: int, n_beta: int,
+                       n_theta: int, n_directions: int) -> ConvexRegion:
+    """Hull of ga and gb over uniform grids of n_alpha, n_beta and n_theta
+    points (g1's one beta is 0), from the sub-grid of _seed_points on each
+    axis as its seed: its chain is close to the hull, so it screens out
     most of every row slab, and each of its pentagons is evaluated as the
     grid's own, so it is bit for bit a member and the hull is unchanged."""
+    check_pentagon_budget(family, rate_split_pentagons(n_alpha, n_beta, n_theta))
+    alphas, thetas = _unit_grid(n_alpha, "alpha", family), _unit_grid(n_theta, "theta", family)
+    betas = _unit_grid(n_beta, "beta", family) if family == "g" else np.zeros(1)
     seed = [_seed_points(g) for g in (alphas, betas, thetas)]
     return hull_of_slabs(
         _rate_split_slab(ch, *seed, _gb_arrays(ch, seed[0][:, None], seed[1][None, :])),
@@ -365,8 +393,7 @@ def g_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the full rate-splitting family: both coding orders, all splits."""
-    return _rate_split_region(ch, "g", _unit_grid(n_alpha, "alpha"), _unit_grid(n_beta, "beta"),
-                              _unit_grid(n_theta, "theta"), n_directions)
+    return _rate_split_region(ch, "g", n_alpha, n_beta, n_theta, n_directions)
 
 
 def g1_region(
@@ -376,8 +403,7 @@ def g1_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the rate-splitting family without a common layer (beta = 0)."""
-    return _rate_split_region(ch, "g1", _unit_grid(n_alpha, "alpha"), np.zeros(1),
-                              _unit_grid(n_theta, "theta"), n_directions)
+    return _rate_split_region(ch, "g1", n_alpha, 1, n_theta, n_directions)
 
 
 def g2_region(
@@ -386,7 +412,7 @@ def g2_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the superposition-only family."""
-    alphas = _unit_grid(n_alpha, "alpha")
+    alphas = _unit_grid(n_alpha, "alpha", "g2")
     return hull_of_slabs(
         _g2_arrays(ch, alphas), n_directions,
         provenance=f"g2(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
@@ -399,7 +425,7 @@ def g3p_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the precoded-common-message family at the optimal coefficient."""
-    alphas = _unit_grid(n_alpha, "alpha")
+    alphas = _unit_grid(n_alpha, "alpha", "g3p")
     return hull_of_slabs(
         _g3p_arrays(ch, alphas), n_directions,
         provenance=f"g3p(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",
@@ -412,7 +438,7 @@ def capacity_region(
     n_directions: int = DEFAULT_DIRECTIONS,
 ) -> ConvexRegion:
     """Hull of the two-constraint capacity pentagons over alpha."""
-    alphas = _unit_grid(n_alpha, "alpha")
+    alphas = _unit_grid(n_alpha, "alpha", "capacity")
     return hull_of_slabs(
         _capacity_arrays(ch, alphas), n_directions,
         provenance=f"capacity(P1={ch.p1:g},P2={ch.p2:g},b={ch.b:g})",

@@ -19,9 +19,9 @@ intersection of the sampled halfplanes with the nonnegative quadrant, to
 within roundoff.  A hull's sampled halfplanes all touch the hull, so its
 boundary is the intersections of consecutive lines; an intersection of two
 regions has loose halfplanes, and its boundary is merged from theirs.
-What the kernel and the envelope read of the directions alone is one
-read-only table per direction count, built and validated once with
-quadrant_directions(n); a region on that array skips the direction checks.
+A region is sampled only at quadrant_directions(n), 3 <= n <= MAX_DIRECTIONS:
+what the kernel and the envelope read of the directions alone is one
+read-only table per n, built once, and any other array is refused.
 """
 
 from __future__ import annotations
@@ -33,10 +33,15 @@ from typing import Callable, Generator, Iterable, NamedTuple
 
 import numpy as np
 
-from .model import Pentagon, RatePair
+from .model import Pentagon, RatePair, require_nonnegative
 
 #: Default number of support directions over the quadrant (eighth-degree steps).
 DEFAULT_DIRECTIONS = 721
+
+#: Most support directions n.  An envelope has at most n + 2 vertices, and the
+#: vertices x directions products that read a support back off a boundary
+#: (intersect, the CLI's check of each emitted boundary) peak near 16*n**2 bytes.
+MAX_DIRECTIONS = 4097
 
 #: Vertex deduplication / constraint-check tolerance for boundary extraction.
 _BOUNDARY_TOL = 1e-9
@@ -70,27 +75,26 @@ class _DirectionTable(NamedTuple):
     det: np.ndarray
 
 
-def _direction_table(dirs: np.ndarray) -> _DirectionTable:
+@functools.cache
+def _quadrant_table(n: int) -> _DirectionTable:
+    """The direction table of quadrant_directions(n), built once per n and kept,
+    as regions are matched to it by the identity of their directions array
+    (at most MAX_DIRECTIONS tables, of about 80*n bytes each)."""
+    if not 3 <= n <= MAX_DIRECTIONS:
+        raise ValueError(f"need at least 3 and at most {MAX_DIRECTIONS} directions, got {n}")
+    angles = np.linspace(0.0, np.pi / 2.0, n)
+    # the angle step, at least 90/4096 degrees, dwarfs the rounding of cos and
+    # sin, so the arctan2 angles strictly increase (checked for every such n)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    dirs[0] = (1.0, 0.0)
+    dirs[-1] = (0.0, 1.0)
     dx, dy = dirs[:, 0].copy(), dirs[:, 1].copy()
     # the lines y >= 0, the samples, x >= 0, each with the next one
     a0, b0 = np.append(0.0, dx), np.append(-1.0, dy)
     a, b = np.append(dx, -1.0), np.append(dy, 0.0)
     # the angle step is in (0, 180) degrees, so det > 0
-    return _DirectionTable(dirs, dx, dy, np.arctan2(dy, dx), np.flatnonzero(dx == 0.0),
-                           a0, b0, a, b, a0 * b - b0 * a)
-
-
-@functools.lru_cache(maxsize=16)
-def _quadrant_table(n: int) -> _DirectionTable:
-    """The direction table of quadrant_directions(n), built and validated once per n."""
-    if n < 3:
-        raise ValueError(f"need at least 3 directions, got {n}")
-    angles = np.linspace(0.0, np.pi / 2.0, n)
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    dirs[0] = (1.0, 0.0)
-    dirs[-1] = (0.0, 1.0)
-    _check_directions(dirs)
-    table = _direction_table(dirs)
+    table = _DirectionTable(dirs, dx, dy, np.arctan2(dy, dx), np.flatnonzero(dx == 0.0),
+                            a0, b0, a, b, a0 * b - b0 * a)
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -106,20 +110,12 @@ def quadrant_directions(n: int) -> np.ndarray:
     return _quadrant_table(n).dirs
 
 
-def _cached_table(dirs: np.ndarray) -> _DirectionTable | None:
-    """The cached table when dirs is quadrant_directions' own array, else None."""
-    if dirs.flags.writeable or len(dirs) < 3:
-        return None
+def _table(dirs: np.ndarray) -> _DirectionTable:
+    """The table of dirs, which must be quadrant_directions(n)'s own array."""
     table = _quadrant_table(len(dirs))
-    return table if table.dirs is dirs else None
-
-
-def _check_directions(d: np.ndarray) -> None:
-    angles = np.arctan2(d[:, 1], d[:, 0])
-    if np.any(np.diff(angles) <= 0.0):
-        raise ValueError("directions must be sorted by strictly increasing angle")
-    if tuple(d[0]) != (1.0, 0.0) or tuple(d[-1]) != (0.0, 1.0):
-        raise ValueError("directions must start at (1,0) and end at (0,1)")
+    if table.dirs is not dirs:
+        raise ValueError("directions must be the array quadrant_directions(n) returns")
+    return table
 
 
 def pentagon_support(p: Pentagon, d: tuple[float, float] | np.ndarray) -> float:
@@ -261,10 +257,10 @@ def support_max_over_pentagons(
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
+    t = _table(dirs)
     if r1.size == 0:
         raise ValueError("no pentagons supplied")
     cx, cy = _corner_chain(*_top_corners(r1, r2, s))
-    t = _cached_table(dirs) or _direction_table(dirs)
     raw = np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1])
     normals = np.maximum.accumulate(raw)
     k = np.searchsorted(normals, t.angles)
@@ -327,8 +323,7 @@ def _tight_envelope(dirs: np.ndarray, support: np.ndarray) -> np.ndarray:
     along the line, the line is loose and ValueError is raised.  Returns
     an (m, 2) polyline deduplicated at _BOUNDARY_TOL.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    t = _cached_table(dirs) or _direction_table(dirs)
+    t = _table(dirs)
     hs = np.concatenate(([0.0], support, [0.0]))
     h0, h = hs[:-1], hs[1:]
     x = (h0 * t.b - h * t.b0) / t.det
@@ -383,9 +378,9 @@ def _merged_envelope(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ConvexRegion:
     """A convex rate region sampled by its support function.
 
-    directions is an (n, 2) array of unit vectors sorted by strictly
-    increasing angle from (1, 0) to (0, 1); support holds the matching
-    support values in bits; boundary is the extracted polyline.  provenance
+    directions is quadrant_directions(n), the (n, 2) array of unit vectors
+    by increasing angle from (1, 0) to (0, 1); support holds the matching
+    n support values in bits; boundary is the extracted polyline.  provenance
     is a free-text tag of the generating family and grids (used in legends).
     """
 
@@ -395,16 +390,12 @@ class ConvexRegion:
     provenance: str = ""
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
+        _table(self.directions)
         h = np.asarray(self.support, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 2 or d.shape[0] != h.shape[0]:
+        if h.shape != self.directions.shape[:1]:
             raise ValueError("directions and support shapes do not match")
-        # quadrant_directions' own arrays were checked once, when built
-        if _cached_table(d) is None:
-            _check_directions(d)
         if not np.all(np.isfinite(h)) or np.any(h < 0.0):
             raise ValueError("support values must be finite and >= 0")
-        object.__setattr__(self, "directions", d)
         object.__setattr__(self, "support", h)
         object.__setattr__(self, "boundary", np.asarray(self.boundary, dtype=float))
 
@@ -423,6 +414,7 @@ class ConvexRegion:
 
     def contains(self, pt: RatePair | tuple[float, float], tol: float = 0.0) -> bool:
         """True iff d.pt <= support(d) + tol for every sampled direction."""
+        tol = require_nonnegative("tol", tol)
         x = (pt.r1, pt.r2) if isinstance(pt, RatePair) else (float(pt[0]), float(pt[1]))
         return bool(np.all(self.directions @ np.asarray(x) <= self.support + tol))
 
@@ -480,6 +472,7 @@ def hull_of_slabs(
     a few units in the last place of the largest bound (see
     support_max_over_pentagons).
     """
+    dirs = quadrant_directions(n_directions)
     r1, r2, s = _finite_bounds(seed, 0)
     # an empty pentagon has no support, but the kernel's closed form
     # would give it one, so it must not reach the kernel
@@ -502,15 +495,12 @@ def hull_of_slabs(
                     near, n = _near_chain(*chain, *_top_corners(*slab)), slab[0].size
                     kept.append([v[near[:n] | near[n:]] for v in slab])
     r1, r2, s = kept[0] if len(kept) == 1 else (np.concatenate(v) for v in zip(*kept))
-    dirs = quadrant_directions(n_directions)
     support = support_max_over_pentagons(r1, r2, s, dirs)
     return ConvexRegion.from_support(dirs, support, provenance)
 
 
 def _check_same_directions(a: ConvexRegion, b: ConvexRegion) -> None:
-    if a.directions.shape != b.directions.shape or not np.array_equal(
-        a.directions, b.directions
-    ):
+    if a.directions is not b.directions:
         raise ValueError("regions are sampled on different direction sets")
 
 
@@ -557,7 +547,9 @@ def subset_within(inner: ConvexRegion, outer: ConvexRegion, tol: float) -> Subse
 
     The report carries the direction of the largest violation (which is
     negative slack when the check passes everywhere with room to spare).
+    tol must be finite and >= 0.
     """
+    tol = require_nonnegative("tol", tol)
     _check_same_directions(inner, outer)
     diff = inner.support - outer.support
     i = int(np.argmax(diff))

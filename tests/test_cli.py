@@ -8,6 +8,8 @@ import math
 import os
 import re
 import struct
+import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -128,6 +130,7 @@ class TestExitCodes:
         ["figure", "fig5", "--b", "-1"],
         ["figure", "fig5", "--b", "nan"],
         ["compare", "--select", "g2,g3p", "--tol", "-1"],
+        ["compare", "--select", "g2,g3p", "--tol", "nan"],
         ["region", "--select", "g2", "--points", "100000000"],
         ["region", "--p1", "1e-300", "--p2", "1e300", "--b", "1e200", "--select", "g2"],
         ["figure", "fig5", "--b", "1e160"],
@@ -136,7 +139,7 @@ class TestExitCodes:
         ["region", "--p1", "1e300", "--p2", "1e10", "--b", "0", "--select", "bcdms"],
         ["region", "--p1", "1e200", "--p2", "0", "--b", "0", "--select", "g3p"],
         ["region", "--select", "g2,co1", "--directions", "721000"],
-    ], ids=["negative-gain", "nan-gain", "negative-tol", "oversized-grid",
+    ], ids=["negative-gain", "nan-gain", "negative-tol", "nan-tol", "oversized-grid",
             "overflowing-gain", "overflowing-figure-gain", "g3p-lambda-total",
             "co1-power-product", "bcdms-power-product", "g3p-own-relayed",
             "oversized-directions"])
@@ -150,6 +153,50 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("refuse, argv, message", [
+        (lambda ch: ChannelParams(1e160, 1.0, 1e80),
+         ["region", "--p1", "1e160", "--p2", "1", "--b", "1e80", "--select", "g"],
+         "received power overflows"),
+        (lambda ch: gaussian.g2_region(ch, 10**9),
+         ["region", "--select", "g2", "--points", str(10**9)], "pentagons, more than"),
+        (lambda ch: bounds.co1_region(ch, 10**9),
+         ["region", "--select", "co1", "--points", str(10**9)], "pentagons, more than"),
+        (lambda ch: gaussian.g_region(ch, 204, 204, 204),
+         ["region", "--select", "g", "--points", "204"], "pentagons, more than"),
+        (lambda ch: bounds.bcdms_region(ch, 204),
+         ["region", "--select", "bcdms", "--cov-points", "204"], "pentagons, more than"),
+        # a numpy count whose cube or product wraps past 2**63
+        (lambda ch: gaussian.g_region(ch, *[np.int64(2_200_000)] * 3),
+         ["region", "--select", "g", "--points", "2200000"], "pentagons, more than"),
+        (lambda ch: bounds.bcdms_region(ch, np.int64(3_000_000)),
+         ["region", "--select", "bcdms", "--cov-points", "3000000"],
+         "27000000000000000000 pentagons"),
+        (lambda ch: geometry.quadrant_directions(4098),
+         ["region", "--select", "g2", "--directions", "4098"], "at most 4097 directions"),
+    ], ids=["overflowing-channel", "g2-points", "co1-points", "g-points", "bcdms-points",
+            "numpy-g-points", "numpy-bcdms-points", "directions"])
+    def test_the_library_refuses_each_input_the_cli_refuses(
+            self, refuse, argv, message, tmp_path, monkeypatch, capsys):
+        # at once, before anything is evaluated, and without a warning;
+        # the CLI's refusal is the library's own
+        ch = ChannelParams(6.0, 6.0, 1.0)
+        fastest = math.inf
+        for _ in range(3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=message):
+                    refuse(ch)
+                fastest = min(fastest, time.perf_counter() - start)
+        assert fastest < 0.01
+
+        def built(*args, **kwargs):
+            raise AssertionError("a region was built")
+
+        monkeypatch.setattr(cli, "build_region", built)
+        assert main([*argv, "--output", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_grid_guard_admits_every_default_and_g_at_201(self):
         for cmd, sels in (("region", cli.SELECTIONS), ("capacity-check", ())):
             RunConfig(command=cmd, p1=6, p2=6, b=2, selections=sels)
@@ -160,7 +207,7 @@ class TestExitCodes:
                   n_points=201)
         with pytest.raises(ValueError, match="pentagons"):
             RunConfig(command="capacity-check", p1=6, p2=6, b=2,
-                      n_points=cli.MAX_PENTAGONS + 1)
+                      n_points=gaussian.MAX_PENTAGONS + 1)
         with pytest.raises(ValueError, match="pentagons"):
             # fig3's g at 300 points: 27 million pentagons
             RunConfig(command="figure", p1=6, p2=6, b=2, figure="fig3", n_points=300)
@@ -211,12 +258,13 @@ class TestExitCodes:
         # the support maximum is O(P log P + D), so points x directions
         # needs no guard of its own
         argv = ["region", "--select", "co1,co2", "--points", "65521",
-                "--directions", str(cli.MAX_DIRECTIONS), "--output", str(tmp_path)]
+                "--directions", str(geometry.MAX_DIRECTIONS), "--output", str(tmp_path)]
         assert main(argv) == 0, capsys.readouterr().err
         for sel in ("g2", "g3p", "capacity", "co1", "co2"):
             with pytest.raises(ValueError, match="pentagons"):
                 RunConfig(command="region", p1=6, p2=6, b=2, selections=(sel,),
-                          n_points=cli.MAX_PENTAGONS + 1, n_directions=cli.MAX_DIRECTIONS)
+                          n_points=gaussian.MAX_PENTAGONS + 1,
+                          n_directions=geometry.MAX_DIRECTIONS)
 
     @pytest.mark.parametrize("p1, p2, b", [
         (1e-300, 1e300, 1e200),  # b*b overflows
@@ -337,6 +385,19 @@ class TestExitCodes:
 
 
 class TestRegionCommand:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_signed_zero_names_files_as_zero_does(self, fmt, tmp_path, capsys):
+        # -0 wrote g2_p16_p26_b-0.csv, a second name for the same channel
+        for gain in ("-0", "0"):
+            out = tmp_path / gain
+            code = main(["region", f"--b={gain}", "--select", "g2", "--format", fmt,
+                         "--output", str(out), *SMALL])
+            assert code == 0
+        capsys.readouterr()
+        name = "g2_p16_p26_b0.csv" if fmt == "csv" else "region_g2_p16_p26_b0.json"
+        assert os.listdir(tmp_path / "-0") == [name]
+        assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
     def test_g3p_boundary_reaches_the_r1_corner(self, tmp_path, capsys):
         code = main(["region", "--p1", "6", "--p2", "6", "--b", "1.3628",
                      "--select", "g3p", "--output", str(tmp_path), *SMALL])
@@ -544,8 +605,7 @@ class TestReportWriter:
         # exponent forms json writes as e-05, e+16 and e-300, an axis-end
         # 0.0, more than 9 significant digits, an all-zero region and one
         # without vertices
-        s = math.sqrt(0.5)
-        dirs = np.array([[1.0, 0.0], [s, s], [0.0, 1.0]])
+        dirs = geometry.quadrant_directions(3)
         regions = {
             "g2": ConvexRegion(dirs, np.full(3, 4e16), np.array(
                 [[1.23456789012e16, 0.0], [12345.678901234, 8.64026087123e-05],
@@ -816,7 +876,8 @@ class TestFigureCommand:
     @pytest.mark.parametrize("gains, tag", [
         (["2", "2"], "b2"),
         (["1.3627702", "1.36277020"], "b1.3627702"),
-    ], ids=["exact-duplicate", "duplicate-spelled-apart"])
+        (["0", "-0"], "b0"),
+    ], ids=["exact-duplicate", "duplicate-spelled-apart", "signed-zeros"])
     def test_gains_sharing_a_file_tag_are_refused(self, gains, tag, tmp_path,
                                                  monkeypatch, capsys):
         def built(*args, **kwargs):

@@ -4,6 +4,7 @@ import functools
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -445,8 +446,11 @@ class TestRateSplitSlabs:
     def test_non_finite_count_never_exceeds_the_familys(self, family, n):
         # the received powers overflow, and the seed, whose pentagons are
         # also the grid's, is refused with its own count: 2,660 of the
-        # family's 2,660 for g, 240 of 880 for g1
-        ch = ChannelParams(1e160, 1.0, 1e80)
+        # family's 2,660 for g, 240 of 880 for g1.  ChannelParams refuses
+        # such a channel, so a stand-in carries it past the check
+        with pytest.raises(ValueError, match="received power overflows"):
+            ChannelParams(1e160, 1.0, 1e80)
+        ch = SimpleNamespace(p1=1e160, p2=1.0, b=1e80)
         grid = np.linspace(0.0, 1.0, n)
         betas = grid if family == "g" else np.zeros(1)
         with np.errstate(all="ignore"):
@@ -560,7 +564,10 @@ class TestBlockScreen:
         # bounds, yet the screened rows hold every NaN and infinity of the
         # unscreened ones
         monkeypatch.setattr(gaussian, "_SCREEN_KEEP_MAX", 1.0)
-        ch = ChannelParams(*p)
+        # ChannelParams refuses these channels, so a stand-in carries them
+        with pytest.raises(ValueError, match="received power overflows"):
+            ChannelParams(*p)
+        ch = SimpleNamespace(p1=p[0], p2=p[1], b=p[2])
         grid = np.linspace(0.0, 1.0, 23)
         above = np.array([1e6, 0.0]), np.array([0.0, 1e6])
         with np.errstate(all="ignore"):

@@ -89,46 +89,50 @@ class TestDirectionTable:
             table.det[0] = 1.0
 
     @pytest.mark.parametrize("n", [3, 5, 181, 721])
-    def test_a_copy_of_the_directions_gives_the_same_bits(self, n):
+    def test_any_other_direction_array_is_refused_with_one_message(self, n):
+        # a copy, a read-only copy, a list, one of another count and a
+        # reordered one: only quadrant_directions(n)'s own array is sampled
         dirs = quadrant_directions(n)
         frozen = dirs.copy()
         frozen.flags.writeable = False
-        ch = ChannelParams(6.0, 6.0, 2.0)
-        alphas = np.linspace(0.0, 1.0, 51)
-        for r1, r2, s in (_g2_arrays(ch, alphas), _g3p_arrays(ch, alphas),
-                          _co1_arrays(ChannelParams(6.0, 0.0, 2.0), alphas)):
-            ref = support_max_over_pentagons(r1, r2, s, dirs)
-            region = ConvexRegion.from_support(dirs, ref)
-            for other in (dirs.copy(), frozen):
-                got = support_max_over_pentagons(r1, r2, s, other)
-                assert np.array_equal(got, ref)
-                assert np.array_equal(ConvexRegion.from_support(other, got).boundary,
-                                      region.boundary)
-        for support in (np.full(n, -1.0), np.full(n, np.nan), np.ones(n + 1)):
-            with pytest.raises(ValueError) as want:
-                ConvexRegion(dirs, support, np.zeros((0, 2)))
-            for other in (dirs.copy(), frozen):
-                with pytest.raises(ValueError) as got:
-                    ConvexRegion(other, support, np.zeros((0, 2)))
-                assert str(got.value) == str(want.value)
-
-    def test_directions_are_validated_once_per_n(self, monkeypatch):
-        dirs = quadrant_directions(97)
-        checked = []
-        check = geometry._check_directions
-        monkeypatch.setattr(geometry, "_check_directions",
-                            lambda d: checked.append(d) or check(d))
-        a = hull_of_union([Pentagon(1.0, 1.0, 1.5)], 97)
-        b = hull_of_union([Pentagon(1.5, 0.5, 1.75)], 97)
-        intersect(a, b)
-        assert checked == []
-        ConvexRegion(dirs.copy(), a.support, a.boundary)
-        assert len(checked) == 1
-        # an array that only looks like the cached one is still checked
         backwards = dirs[::-1].copy()
         backwards.flags.writeable = False
-        with pytest.raises(ValueError, match="increasing angle"):
-            ConvexRegion(backwards, a.support, a.boundary)
+        ch = ChannelParams(6.0, 6.0, 2.0)
+        r1, r2, s = _g2_arrays(ch, np.linspace(0.0, 1.0, 51))
+        support = support_max_over_pentagons(r1, r2, s, dirs)
+        region = ConvexRegion.from_support(dirs, support)
+        foreign = (dirs.copy(), frozen, backwards, dirs.tolist(), quadrant_directions(n + 1)[:n])
+        calls = (lambda d: support_max_over_pentagons(r1, r2, s, d),
+                 lambda d: ConvexRegion.from_support(d, support),
+                 lambda d: ConvexRegion(d, support, region.boundary))
+        messages = set()
+        for other in foreign:
+            for call in calls:
+                with pytest.raises(ValueError) as err:
+                    call(other)
+                messages.add(str(err.value))
+        assert messages == {"directions must be the array quadrant_directions(n) returns"}
+
+    def test_a_region_keeps_its_directions_while_others_are_built(self):
+        # regions are matched to their table by identity, so a table once
+        # built is never dropped for others
+        a = hull_of_union([Pentagon(1.0, 1.0, 1.5)], 103)
+        for n in range(3, 40):
+            hull_of_union([Pentagon(1.0, 1.0, 1.5)], n)
+        b = hull_of_union([Pentagon(1.5, 0.5, 1.75)], 103)
+        assert b.directions is a.directions
+        assert intersect(a, b).directions is a.directions
+        assert ConvexRegion(a.directions, a.support, a.boundary).directions is a.directions
+
+    def test_the_direction_count_is_held_to_its_cap(self):
+        for n in (3, 4, 7, 4095, 4096, geometry.MAX_DIRECTIONS):
+            angles = geometry._quadrant_table(n).angles
+            assert np.all(np.diff(angles) > 0.0), n
+        for n in (geometry.MAX_DIRECTIONS + 1, 10**9):
+            with pytest.raises(ValueError, match=r"at least 3 and at most 4097 directions"):
+                quadrant_directions(n)
+        with pytest.raises(ValueError, match="at most 4097 directions"):
+            hull_of_union([Pentagon(1.0, 1.0, 1.5)], geometry.MAX_DIRECTIONS + 1)
 
 
 class TestPentagonSupport:
@@ -379,7 +383,7 @@ def test_edge_across_a_direction_gives_its_better_end():
 def _searched_support(r1, r2, s, dirs):
     """The kernel's search alone, without widening raised runs: the reference."""
     cx, cy = geometry._corner_chain(*geometry._top_corners(r1, r2, s))
-    t = geometry._cached_table(dirs) or geometry._direction_table(dirs)
+    t = geometry._quadrant_table(len(dirs))
     normals = np.maximum.accumulate(np.arctan2(cx[:-1] - cx[1:], cy[1:] - cy[:-1]))
     k = np.searchsorted(normals, t.angles)
     k[t.r2_axis] = cx.size - 1
@@ -1008,6 +1012,13 @@ class TestRegionContains:
         for pt in reg.boundary.tolist():
             assert reg.contains(pt, tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_refuses_a_tolerance_that_is_not_finite_and_nonnegative(self, tol):
+        # a NaN tolerance read "not contained", a negative one was taken
+        reg = _hull(Pentagon(1, 1, 1.5))
+        with pytest.raises(ValueError, match="tol must be"):
+            reg.contains(RatePair(0.7, 0.7), tol=tol)
+
 
 class TestDirectedGap:
     def test_identical_regions(self):
@@ -1054,6 +1065,13 @@ class TestSubsetWithin:
         inner = _hull(Pentagon(1, 1, 2))
         outer = _hull(Pentagon(1, 1, 1.5))
         assert subset_within(inner, outer, tol=0.4).is_subset
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_refuses_a_tolerance_that_is_not_finite_and_nonnegative(self, tol):
+        # a NaN tolerance read is_subset=False
+        reg = _hull(Pentagon(1, 1, 1.5))
+        with pytest.raises(ValueError, match="tol must be"):
+            subset_within(reg, reg, tol)
 
 
 def _monotone_chain(points):

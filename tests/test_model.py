@@ -19,10 +19,18 @@ def test_channel_params_basic():
     {"p1": 6.0, "p2": 6.0, "b": -2.0},
     {"p1": float("nan"), "p2": 6.0, "b": 2.0},
     {"p1": 6.0, "p2": float("inf"), "b": 2.0},
+    # the received power overflows in g's closed forms
+    {"p1": 1e160, "p2": 1.0, "b": 1e80},
 ])
 def test_channel_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ChannelParams(**kwargs)
+
+
+def test_channel_params_store_a_signed_zero_as_zero():
+    ch = ChannelParams(-0.0, -0.0, -0.0)
+    assert [math.copysign(1.0, v) for v in (ch.p1, ch.p2, ch.b)] == [1.0, 1.0, 1.0]
+    assert ch == ChannelParams(0.0, 0.0, 0.0)
 
 
 def test_rate_pair_validation():
@@ -49,6 +57,12 @@ class TestPentagon:
         assert p.contains(RatePair(0.76, 0.76), tol=0.05)
         with pytest.raises(ValueError, match="tol"):
             p.contains(RatePair(0.1, 0.1), tol=-0.01)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_contains_refuses_a_tolerance_that_is_not_finite_and_nonnegative(self, tol):
+        # a NaN slack made every comparison fail: "not contained"
+        with pytest.raises(ValueError, match="tol must be"):
+            Pentagon(1.0, 1.0, 1.5).contains(RatePair(0.1, 0.1), tol=tol)
 
     def test_empty_iff_any_bound_negative(self):
         assert Pentagon(-0.2, 1.0, 1.5).is_empty()
